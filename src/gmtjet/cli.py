@@ -6,22 +6,18 @@ Subcommands:
   verify --suite <cones|equivalence|uniqueness|shear|pointwise|sff|touching|transfer|all>
   plot-data --trace report.json --out trace.csv
 
-Exit codes: 0 holds, 1 fails, 2 usage, 3 inconclusive.  GMTJET_THREADS caps
-the worker count; the numerics are vectorized over scales and directions, so
-every thread count gives the single-threaded (and byte-identical) output.
+Exit codes: 0 holds, 1 fails, 2 usage, 3 inconclusive.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 import numpy as np
 
 from . import __version__
-from .config import DEFAULT_TOL
 from .density import (
     DYADIC_GAP_SCHEDULE,
     DYADIC_SCHEDULE,
@@ -580,15 +576,6 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("GMTJET_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"GMTJET_THREADS={threads!r} is not a positive integer",
-                  file=sys.stderr)
-            return EXIT_USAGE
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

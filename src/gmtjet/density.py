@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_GRIDS, DEFAULT_TOL, Grids, Tolerances
+from .config import DEFAULT_GRIDS, DEFAULT_TOL, Tolerances
 from .geometry import (
     ClosedBall,
     Complement,
@@ -97,7 +97,7 @@ class DensityTrace:
     def ratios(self) -> np.ndarray:
         return np.array([e[1] for e in self.entries])
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         obj = {
             "point": [float(c) for c in np.atleast_1d(self.point)],
             "m": self.m,
@@ -107,7 +107,10 @@ class DensityTrace:
         }
         if self.estimate is not None:
             obj["estimate"] = float(self.estimate)
-        return json.dumps(obj, sort_keys=True)
+        return obj
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "DensityTrace":
@@ -213,11 +216,16 @@ def _positive_density(trace: DensityTrace) -> str:
     return "inconclusive"
 
 
-def _combine(per_eps: dict) -> str:
-    statuses = list(per_eps.values())
-    if any(s == "fails" for s in statuses):
+def combine_statuses(statuses) -> str:
+    """One verdict from per-aperture statuses.
+
+    "untested" entries are ignored; any failure fails, holds needs every
+    tested aperture to hold, and nothing tested is inconclusive.
+    """
+    tested = [s for s in statuses if s != "untested"]
+    if "fails" in tested:
         return "fails"
-    if all(s == "holds" for s in statuses):
+    if tested and all(s == "holds" for s in tested):
         return "holds"
     return "inconclusive"
 
@@ -249,7 +257,8 @@ def in_upper_tangent_cone(oracle: MeasureOracle, a, m: int, v,
         trace = upper_density(restricted, a, m, schedule, tol)
         per_eps[eps] = _positive_density(trace)
         traces[eps] = trace
-    return Verdict(_combine(per_eps), {"v": v.tolist(), "per_eps": per_eps, "traces": traces})
+    return Verdict(combine_statuses(per_eps.values()),
+                   {"v": v.tolist(), "per_eps": per_eps, "traces": traces})
 
 
 def eta_uniform_condition(oracle: MeasureOracle, m: int, schedule: ScaleSchedule,
@@ -317,13 +326,7 @@ def in_lower_tangent_cone(oracle: MeasureOracle, a, m: int, v,
         details[eps] = d
     diag["per_eps"] = per_eps
     diag["eta_details"] = details
-    tested = [s for s in per_eps.values() if s != "untested"]
-    if any(s == "fails" for s in tested):
-        combined = "fails"
-    elif not tested or any(s == "inconclusive" for s in tested):
-        combined = "inconclusive"
-    else:
-        combined = "holds"
+    combined = combine_statuses(per_eps.values())
     if combined == "holds" and density_status == "inconclusive":
         combined = "inconclusive"
     return Verdict(combined, diag)
@@ -422,8 +425,10 @@ def cone_condition_check(oracle: MeasureOracle, a, T: Plane,
             lambda r, eps=eps: vertical_excess(T, a, eps * r), tol)
         traces_iii[eps] = trace
         iii_eps[eps] = status
-    vii = Verdict(_combine(ii_eps), {"per_eps": ii_eps, "traces": traces_ii})
-    viii = Verdict(_combine(iii_eps), {"per_eps": iii_eps, "traces": traces_iii})
+    vii = Verdict(combine_statuses(ii_eps.values()),
+                  {"per_eps": ii_eps, "traces": traces_ii})
+    viii = Verdict(combine_statuses(iii_eps.values()),
+                   {"per_eps": iii_eps, "traces": traces_iii})
     return vii, viii
 
 

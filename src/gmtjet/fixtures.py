@@ -3,12 +3,11 @@
 Smooth calibration manifolds (line, polynomial graphs, circle, sphere, torus)
 carry analytic jets and normal fields.  The pathological sets (dyadic annuli,
 the hairy segment, the comb) get exact or semi-exact backends: unions of
-vertical segments are measured by closed-form slice arithmetic, with the
+segments are measured by the line-clipping engine of `measure`, with the
 truncated tails accounted analytically where it matters.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -20,16 +19,10 @@ from scipy.special import zeta
 from .density import DYADIC_SCHEDULE, ScaleSchedule
 from .geometry import (
     ClosedBall,
-    Complement,
-    Cone,
-    Cylinder,
-    FullSpace,
     HomogeneousForm,
-    Intersection,
     Jet,
     OpenBall,
     Plane,
-    PlaneCone,
     Region,
 )
 from .measure import (
@@ -41,7 +34,7 @@ from .measure import (
     UnionOracle,
     WeightedCloud,
     chart_oracle,
-    line_intervals,
+    clip_segments,
 )
 
 # The curved surfaces need gentle steps reaching deep: the residual checks of
@@ -53,241 +46,60 @@ SURFACE_SCHEDULE = ScaleSchedule(r0=0.5, q=0.92, J=64)
 
 
 # ---------------------------------------------------------------------------
-# vectorized slice arithmetic for unions of vertical segments in R^2
-#
-# A "slice" of a region along the vertical line {x_i} x [y0_i, y1_i] is kept
-# as a list of (lo, hi) arrays of disjoint sorted intervals, clipped to the
-# segment's extent.  All operations are vectorized over the segments.
+# hair sets
 
 
-def _clip_pair(lo, hi, y0, y1):
-    return np.clip(lo, y0, y1), np.clip(hi, y0, y1)
+class HairOracle(IntervalOracle):
+    """H^1 of horizontal segments plus a family of vertical hairs in R^2.
 
-
-def _linear_band(q1: float, q0: np.ndarray, bound: float, y0, y1):
-    """{y : |q1 y + q0| < bound} clipped; q1 scalar, q0 per-segment."""
-    if not np.isfinite(bound):
-        return [(y0 + 0.0 * q0, y1 + 0.0 * q0)]
-    if q1 == 0.0:
-        mask = np.abs(q0) < bound
-        lo = np.where(mask, y0, y1)
-        return [(lo, y1 + 0.0 * lo)]
-    lo = (-bound - q0) / q1
-    hi = (bound - q0) / q1
-    if q1 < 0:
-        lo, hi = hi, lo
-    return [_clip_pair(lo, hi, y0, y1)]
-
-
-def _quadratic_pieces(A: float, B: np.ndarray, C: np.ndarray, y0, y1):
-    """{y : A y^2 + B y + C <= 0} as <= 2 disjoint sorted pieces, clipped."""
-    B = np.asarray(B, dtype=float)
-    C = np.asarray(C, dtype=float)
-    if A == 0.0:
-        lo = np.where(B > 0, y0, np.where(B < 0, -C / np.where(B == 0, 1.0, B), np.where(C <= 0, y0, y1)))
-        hi = np.where(B > 0, -C / np.where(B == 0, 1.0, B), np.where(B < 0, y1, np.where(C <= 0, y1, y1)))
-        hi = np.where((B == 0) & (C > 0), y0, hi)
-        return [_clip_pair(lo, hi, y0, y1)]
-    disc = B * B - 4 * A * C
-    s = np.sqrt(np.maximum(disc, 0.0))
-    r1 = (-B - s) / (2 * A)
-    r2 = (-B + s) / (2 * A)
-    if A > 0:
-        lo = np.where(disc > 0, np.minimum(r1, r2), y1)
-        hi = np.where(disc > 0, np.maximum(r1, r2), y1)
-        return [_clip_pair(lo, hi, y0, y1)]
-    # A < 0: sublevel set is everything outside the open root interval
-    inner_lo = np.where(disc > 0, np.minimum(r1, r2), y1)
-    inner_hi = np.where(disc > 0, np.maximum(r1, r2), y1)
-    p1 = _clip_pair(y0 + 0.0 * inner_lo, inner_lo, y0, y1)
-    p2 = _clip_pair(inner_hi, y1 + 0.0 * inner_hi, y0, y1)
-    return [p1, p2]
-
-
-def _pieces_intersect(A, B):
-    out = []
-    for la, ha in A:
-        for lb, hb in B:
-            out.append((np.maximum(la, lb), np.minimum(ha, hb)))
-    return out
-
-
-def _pieces_complement(pieces, y0, y1):
-    if not pieces:
-        return [(y0 + np.zeros(1), y1 + np.zeros(1))]
-    los = np.stack([np.where(hi > lo, lo, y1) for lo, hi in pieces], axis=1)
-    his = np.stack([np.where(hi > lo, hi, y1) for lo, hi in pieces], axis=1)
-    order = np.argsort(los, axis=1, kind="stable")
-    los = np.take_along_axis(los, order, axis=1)
-    his = np.take_along_axis(his, order, axis=1)
-    out = []
-    cursor = y0 + np.zeros(los.shape[0])
-    for j in range(los.shape[1]):
-        out.append((cursor, los[:, j]))
-        cursor = np.maximum(cursor, his[:, j])
-    out.append((cursor, y1 + np.zeros(los.shape[0])))
-    return out
-
-
-def _vertical_slices(region: Region, x: np.ndarray, y0, y1):
-    """Intervals of {y in [y0, y1] : (x, y) in region}, vectorized over x."""
-    zeros = 0.0 * x
-    if isinstance(region, FullSpace):
-        return [(y0 + zeros, y1 + zeros)]
-    if isinstance(region, (OpenBall, ClosedBall)):
-        cx, cy = region.center
-        s2 = region.radius ** 2 - (x - cx) ** 2
-        ok = s2 > 0
-        s = np.sqrt(np.maximum(s2, 0.0))
-        lo = np.where(ok, cy - s, y1)
-        hi = np.where(ok, cy + s, y1)
-        return [_clip_pair(lo, hi, y0, y1)]
-    if isinstance(region, Cylinder):
-        b0, b1 = region.plane.basis[0]
-        cx, cy = region.center
-        dx = x - cx
-        out = [(y0 + zeros, y1 + zeros)]
-        out = _pieces_intersect(out, _linear_band(b1, b0 * dx - b1 * cy, region.s, y0, y1))
-        out = _pieces_intersect(out, _linear_band(b0, -b1 * dx - b0 * cy, region.t, y0, y1))
-        return out
-    if isinstance(region, PlaneCone):
-        b0, b1 = region.plane.basis[0]
-        ax, ay = region.apex
-        dx = x - ax
-        # tangential value t1 y + t0, normal value n1 y + n0
-        t1, t0 = b1, b0 * dx - b1 * ay
-        n1, n0 = b0, -b1 * dx - b0 * ay
-        e2 = region.eps ** 2
-        return _quadratic_pieces(n1 * n1 - e2 * t1 * t1,
-                                 2 * (n1 * n0 - e2 * t1 * t0),
-                                 n0 * n0 - e2 * t0 * t0, y0, y1)
-    if isinstance(region, Cone):
-        v0, v1 = region.v
-        k = v0 * v0 + v1 * v1 - region.eps ** 2
-        if k < 0:
-            return [(y0 + zeros, y1 + zeros)]
-        ax, ay = region.apex
-        dx = x - ax
-        e0 = v0 * dx - v1 * ay
-        # (v . d)^2 - k |d|^2 > 0
-        A = v1 * v1 - k
-        B = 2 * v1 * e0 + 2 * k * ay
-        C = e0 * e0 - k * (ay * ay + dx * dx)
-        pos = _pieces_complement(_quadratic_pieces(A, B, C, y0, y1), y0, y1)
-        if v1 == 0.0:
-            mask = v0 * dx > 0
-            lo = np.where(mask, y0, y1)
-            half = [(lo, y1 + zeros)]
-        else:
-            bound = (-e0) / v1
-            if v1 > 0:
-                half = [_clip_pair(bound, y1 + zeros, y0, y1)]
-            else:
-                half = [_clip_pair(y0 + zeros, bound, y0, y1)]
-        return _pieces_intersect(pos, half)
-    if isinstance(region, Complement):
-        return _pieces_complement(_vertical_slices(region.inner, x, y0, y1), y0, y1)
-    if isinstance(region, Intersection):
-        out = [(y0 + zeros, y1 + zeros)]
-        for part in region.parts:
-            out = _pieces_intersect(out, _vertical_slices(part, x, y0, y1))
-        return out
-    raise NotImplementedError(f"no slice rule for {type(region).__name__}")
-
-
-def _slice_lengths(region: Region, x: np.ndarray, y0, y1) -> np.ndarray:
-    total = np.zeros_like(x, dtype=float)
-    for lo, hi in _vertical_slices(region, x, y0, y1):
-        total += np.maximum(hi - lo, 0.0)
-    return total
-
-
-def _slice_clip(region: Region, x: np.ndarray, y0, y1):
-    """Merged (lo, hi) covering hull per segment, valid when slices are one piece."""
-    pieces = _vertical_slices(region, x, y0, y1)
-    lo = np.full_like(x, np.inf, dtype=float)
-    hi = np.full_like(x, -np.inf, dtype=float)
-    for plo, phi in pieces:
-        nonempty = phi > plo
-        lo = np.where(nonempty, np.minimum(lo, plo), lo)
-        hi = np.where(nonempty, np.maximum(hi, phi), hi)
-    return lo, hi
-
-
-class HairOracle(MeasureOracle):
-    """H^1 of horizontal segments plus a family of vertical segments in R^2.
-
-    Vertical segments sit at positions hx with extents [hy0, hy1]; masses are
-    computed by closed-form slice arithmetic, vectorized over the family.  An
-    optional analytic tail supplies the part of the set beyond the explicit
-    truncation (balls at the origin get an exact formula; other regions see
-    the tail through banded proxy points whose weights are exact band masses).
+    The hairs stand at positions hx with extents [hy0, hy1].  Both kinds of
+    segment are measured by one engine call; an optional analytic tail
+    supplies the part of the set beyond the explicit truncation (balls at the
+    origin get an exact formula; other regions see the tail through banded
+    proxy points whose weights are exact band masses).  Samples are 64 per
+    horizontal piece and 4 per hair, whatever the caller asks for.
     """
 
     def __init__(self, hx, hy0, hy1, horizontal: Sequence[SegmentPiece] = (),
                  tail_ball_mass: Callable | None = None,
                  tail_points: tuple[np.ndarray, np.ndarray] | None = None):
-        self.hx = np.asarray(hx, dtype=float)
-        self.hy0 = np.asarray(hy0, dtype=float) + 0.0 * self.hx
-        self.hy1 = np.asarray(hy1, dtype=float) + 0.0 * self.hx
-        self.horizontal = list(horizontal)
+        super().__init__(horizontal, n=2)
+        self.n_horizontal = len(self.t0)
+        hx = np.asarray(hx, dtype=float)
+        self.p0 = np.vstack([self.p0, np.stack([hx, np.zeros_like(hx)], axis=1)])
+        self.u = np.vstack([self.u, np.tile([0.0, 1.0], (len(hx), 1))])
+        self.t0 = np.concatenate([self.t0, np.asarray(hy0, dtype=float) + 0.0 * hx])
+        self.t1 = np.concatenate([self.t1, np.asarray(hy1, dtype=float) + 0.0 * hx])
+        self.density = np.concatenate([self.density, np.ones_like(hx)])
         self.tail_ball_mass = tail_ball_mass
         self.tail_points = tail_points
-        self.m = 1
-        self.n = 2
 
-    def _tail_mass(self, region: Region) -> tuple[float, float]:
+    def mass(self, region: Region) -> tuple[float, float]:
+        total, _ = super().mass(region)
         if self.tail_points is None:
-            return 0.0, 0.0
+            return total, 0.0
         if isinstance(region, (OpenBall, ClosedBall)) and self.tail_ball_mass is not None \
                 and np.linalg.norm(region.center) <= 1e-12:
-            return self.tail_ball_mass(region.radius)
+            tail, err = self.tail_ball_mass(region.radius)
+            return total + tail, err
         pts, w = self.tail_points
         keep = region.contains_many(pts)
         if not keep.any():
-            return 0.0, 0.0
-        return float(w[keep].sum()), float(w[keep].max())
+            return total, 0.0
+        return total + float(w[keep].sum()), float(w[keep].max())
 
-    def mass(self, region: Region) -> tuple[float, float]:
-        total = 0.0
-        for piece in self.horizontal:
-            ivals = line_intervals(region, piece.p0, piece.u, piece.t0, piece.t1)
-            total += piece.density * sum(b - a for a, b in ivals)
-        total += float(_slice_lengths(region, self.hx, self.hy0, self.hy1).sum())
-        tail, err = self._tail_mass(region)
-        return total + tail, err
-
-    def samples_in_ball(self, center, radius, per_hair: int = 4):
-        center = np.asarray(center, dtype=float)
-        ball = ClosedBall(center, radius)
-        pts, ws = [], []
-        for piece in self.horizontal:
-            for a, b in line_intervals(ball, piece.p0, piece.u, piece.t0, piece.t1):
-                npts = 64
-                ts = a + (b - a) * (np.arange(npts) + 0.5) / npts
-                pts.append(piece.p0[None, :] + ts[:, None] * piece.u[None, :])
-                ws.append(np.full(npts, piece.density * (b - a) / npts))
-        lo, hi = _slice_clip(ball, self.hx, self.hy0, self.hy1)
-        nonempty = hi > lo
-        if nonempty.any():
-            xs = self.hx[nonempty]
-            lo, hi = lo[nonempty], hi[nonempty]
-            for i in range(per_hair):
-                ys = lo + (hi - lo) * (i + 0.5) / per_hair
-                pts.append(np.stack([xs, ys], axis=1))
-                ws.append((hi - lo) / per_hair)
+    def samples_in_ball(self, center, radius):
+        ball = ClosedBall(np.asarray(center, dtype=float), radius)
+        lo, hi = clip_segments(ball, self.p0, self.u, self.t0, self.t1)
+        h = self.n_horizontal
+        parts = [self._spread(slice(None, h), lo, hi, 64),
+                 self._spread(slice(h, None), lo, hi, 4)]
         if self.tail_points is not None:
             tp, tw = self.tail_points
             keep = ball.contains_many(tp)
-            if keep.any():
-                pts.append(tp[keep])
-                ws.append(tw[keep])
-        if not pts:
-            return np.zeros((0, 2)), np.zeros(0)
+            parts.append((tp[keep], tw[keep]))
+        pts, ws = zip(*parts)
         return np.vstack(pts), np.concatenate(ws)
-
-    def granularity(self):
-        return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +220,8 @@ def _graph_fixture(name, c2, c3, half=1.2, resolution=32768, params=None):
     oracle = chart_oracle([chart], m=1)
     plane = Plane.axis(2, [0])
     a = np.zeros(2)
-    forms = {}
-    if c2 != 0 or True:
-        forms[2] = HomogeneousForm(2, plane, {(2,): np.array([0.0, c2 / 2])})
-    forms[3] = HomogeneousForm(3, plane, {(3,): np.array([0.0, c3 / 6])})
+    forms = {2: HomogeneousForm(2, plane, {(2,): np.array([0.0, c2 / 2])}),
+             3: HomogeneousForm(3, plane, {(3,): np.array([0.0, c3 / 6])})}
     jet = Jet(a, plane, 3, 0.0, forms)
     gt = {point_key(a): {
         "m": 1, "plane_basis": plane.basis.tolist(),

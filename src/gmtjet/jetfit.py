@@ -21,6 +21,7 @@ from .density import (
     ScaleSchedule,
     VANISHING_CLIP,
     Verdict,
+    combine_statuses,
     cone_condition_check,
     eta_uniform_condition,
     in_lower_tangent_cone,
@@ -181,32 +182,10 @@ def refine_tangent_plane(oracle: MeasureOracle, a, T: Plane, fit_scales,
     if T.m >= T.n:
         return T
     for _ in range(rounds):
-        m = T.m
-        deg_betas = [(d, beta) for d in (1, 2) for beta in multi_indices(m, d)]
-        nuis = [(d, beta) for d in (3, 4) for beta in multi_indices(m, d)]
-        per_scale = []
-        for r in fit_scales:
-            r = float(r)
-            pts, w = oracle.samples_in_ball(a, r)
-            if len(pts) == 0:
-                continue
-            d = pts - a
-            normal = d @ T.normal_projector
-            keep = (np.linalg.norm(normal, axis=1) <= tol.trim_factor * r) & (w > 0)
-            if keep.sum() < len(deg_betas):
-                continue
-            chi = T.tangent_coords(d[keep]) / r
-            cols = [monomials(chi, [beta]) * r**(deg - 1)
-                    for deg, beta in deg_betas]
-            if keep.sum() >= len(deg_betas) + len(nuis):
-                cols += [monomials(chi, [beta]) * r**(deg - 1)
-                         for deg, beta in nuis]
-            A = np.hstack(cols)
-            sol = _ridge_solve(A, normal[keep] / r, w[keep], tol.ridge)
-            per_scale.append(sol[:m])
-        if not per_scale:
+        _, med = _scale_regression(oracle, a, T, fit_scales, (1, 2), (3, 4), 1, tol)
+        if med is None:
             return T
-        b = np.median(np.stack(per_scale), axis=0) @ T.normal_projector
+        b = med[:T.m] @ T.normal_projector
         tilt = float(np.abs(b).max())
         T = Plane.from_spanning(T.basis + b)
         if tilt < 1e-13:
@@ -227,8 +206,27 @@ def fit_homogeneous_form(oracle: MeasureOracle, a, T: Plane, i: int,
     a = np.asarray(a, dtype=float)
     if T.m >= T.n:
         raise ValueError("plane has no normal directions to fit")
-    betas = multi_indices(T.m, i)
-    nuis = multi_indices(T.m, i + 2)
+    terms, med = _scale_regression(oracle, a, T, fit_scales, (i,), (i + 2,), i, tol)
+    if med is None:
+        raise ValueError(
+            f"degree-{i} fit underdetermined: need {len(terms)} in-band samples")
+    coeffs = {beta: med[j] @ T.normal_projector for j, (_, beta) in enumerate(terms)}
+    return HomogeneousForm(i, T, coeffs)
+
+
+def _scale_regression(oracle: MeasureOracle, a: np.ndarray, T: Plane, fit_scales,
+                      degrees, nuisance_degrees, base: int, tol: Tolerances):
+    """Per-scale weighted fits of the local graph over T, median over scales.
+
+    At each scale r the samples within trim_factor * r of the plane are
+    fitted: target N(x - a) / r^base against columns chi^beta r^(deg - base),
+    chi = T(x - a) / r, for the terms (deg, beta) of `degrees`, plus those of
+    `nuisance_degrees` when the sample count allows.  Returns the terms and
+    the coefficient-wise median of their rows, (len(terms), n), or None for
+    the median when no scale has len(terms) in-band samples.
+    """
+    terms = [(d, beta) for d in degrees for beta in multi_indices(T.m, d)]
+    nuisance = [(d, beta) for d in nuisance_degrees for beta in multi_indices(T.m, d)]
     per_scale = []
     for r in fit_scales:
         r = float(r)
@@ -238,22 +236,16 @@ def fit_homogeneous_form(oracle: MeasureOracle, a, T: Plane, i: int,
         d = pts - a
         normal = d @ T.normal_projector
         keep = (np.linalg.norm(normal, axis=1) <= tol.trim_factor * r) & (w > 0)
-        if keep.sum() < len(betas):
+        if keep.sum() < len(terms):
             continue
         chi = T.tangent_coords(d[keep]) / r
-        target = normal[keep] / r**i
-        design = monomials(chi, betas)
-        cols = len(betas)
-        if keep.sum() >= len(betas) + len(nuis):
-            design = np.hstack([design, monomials(chi, nuis) * r**2])
-        sol = _ridge_solve(design, target, w[keep], tol.ridge)
-        per_scale.append(sol[:cols])
+        cols = terms + nuisance if keep.sum() >= len(terms) + len(nuisance) else terms
+        A = np.hstack([monomials(chi, [beta]) * r**(deg - base) for deg, beta in cols])
+        sol = _ridge_solve(A, normal[keep] / r**base, w[keep], tol.ridge)
+        per_scale.append(sol[:len(terms)])
     if not per_scale:
-        raise ValueError(
-            f"degree-{i} fit underdetermined: need {len(betas)} in-band samples")
-    med = np.median(np.stack(per_scale), axis=0)
-    coeffs = {beta: med[j] @ T.normal_projector for j, beta in enumerate(betas)}
-    return HomogeneousForm(i, T, coeffs)
+        return terms, None
+    return terms, np.median(np.stack(per_scale), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +316,6 @@ def _reduction_shear(T: Plane, a: np.ndarray, form: HomogeneousForm) -> ShearMap
 # stage conditions
 
 
-def _combine_eps(per_eps: dict) -> str:
-    tested = [s for s in per_eps.values() if s != "untested"]
-    if any(s == "fails" for s in tested):
-        return "fails"
-    if not tested or any(s == "inconclusive" for s in tested):
-        return "inconclusive"
-    return "holds"
-
-
 def _cylinder_condition(cur: MeasureOracle, a: np.ndarray, T: Plane,
                         form: HomogeneousForm, i: int, schedule: ScaleSchedule,
                         grids: Grids, tol: Tolerances) -> tuple[str, dict]:
@@ -363,7 +346,7 @@ def _cylinder_condition(cur: MeasureOracle, a: np.ndarray, T: Plane,
                                           grids.eta_grid, tol, norm=norm)
         per_eps[eps] = status
         details[eps] = d
-    return _combine_eps(per_eps), {"per_eps": per_eps, "eta": details}
+    return combine_statuses(per_eps.values()), {"per_eps": per_eps, "eta": details}
 
 
 def _residual_condition(cur: MeasureOracle, a: np.ndarray, T: Plane,
@@ -378,7 +361,7 @@ def _residual_condition(cur: MeasureOracle, a: np.ndarray, T: Plane,
             tol)
         per_eps[eps] = status
         traces[eps] = trace
-    return _combine_eps(per_eps), {"per_eps": per_eps, "traces": traces}
+    return combine_statuses(per_eps.values()), {"per_eps": per_eps, "traces": traces}
 
 
 def _hoelder_search(cur: MeasureOracle, a: np.ndarray, T: Plane, eval_fn,
@@ -568,41 +551,14 @@ def jet_uniqueness_crosscheck(oracle: MeasureOracle, a, T: Plane, k: int,
     m = T.m
     sched = schedule.clip_for(oracle, tol)
     T = refine_tangent_plane(oracle, a, T, sched.radii[-tol.fit_scales:], tol)
-    degree_betas = [(i, beta) for i in range(2, k + 1)
-                    for beta in multi_indices(m, i)]
-    nuis = [(d, beta) for d in (k + 1, k + 2) for beta in multi_indices(m, d)]
-    per_scale = []
-    for r in sched.radii[-tol.fit_scales:]:
-        r = float(r)
-        pts, w = oracle.samples_in_ball(a, r)
-        if len(pts) == 0:
-            continue
-        d = pts - a
-        normal = d @ T.normal_projector
-        keep = (np.linalg.norm(normal, axis=1) <= tol.trim_factor * r) & (w > 0)
-        if keep.sum() < len(degree_betas):
-            continue
-        chi = T.tangent_coords(d[keep]) / r
-        cols = [monomials(chi, [beta]) * r**(deg - 2)
-                for deg, beta in degree_betas]
-        ncols = len(cols)
-        if keep.sum() >= len(degree_betas) + len(nuis):
-            cols += [monomials(chi, [beta]) * r**(deg - 2)
-                     for deg, beta in nuis]
-        A = np.hstack(cols)
-        sol = _ridge_solve(A, normal[keep] / r**2, w[keep], tol.ridge)
-        per_scale.append(sol[:ncols])
-    if not per_scale:
+    terms, med = _scale_regression(oracle, a, T, sched.radii[-tol.fit_scales:],
+                                   range(2, k + 1), (k + 1, k + 2), 2, tol)
+    if med is None:
         return Verdict("inconclusive", {"error": "direct fit underdetermined"})
-    med = np.median(np.stack(per_scale), axis=0)
-    direct_forms: dict[int, HomogeneousForm] = {}
-    for i in range(2, k + 1):
-        coeffs = {}
-        for j, (deg, beta) in enumerate(degree_betas):
-            if deg == i:
-                coeffs[beta] = med[j] @ T.normal_projector
-        direct_forms[i] = HomogeneousForm(i, T, coeffs)
-    direct = Jet(a, T, k, 0.0, direct_forms)
+    coeffs: dict[int, dict] = {i: {} for i in range(2, k + 1)}
+    for j, (deg, beta) in enumerate(terms):
+        coeffs[deg][beta] = med[j] @ T.normal_projector
+    direct = Jet(a, T, k, 0.0, {i: HomogeneousForm(i, T, c) for i, c in coeffs.items()})
 
     iterated, verdict = iterated_jet_fit(oracle, a, k, 0.0, schedule, tol,
                                          grids, tangent=(m, T))
@@ -672,9 +628,8 @@ def order_monotonicity_check(oracle: MeasureOracle, a, k: int, alpha: float,
 # serialization
 
 
-def jet_to_json(jet: Jet, verdict: Verdict | None = None,
-                diagnostics: dict | None = None) -> str:
-    obj = {
+def _jet_dict(jet: Jet) -> dict:
+    return {
         "base": [float(c) for c in jet.base],
         "plane_basis": jet.plane.basis.tolist(),
         "k": jet.degree,
@@ -686,6 +641,11 @@ def jet_to_json(jet: Jet, verdict: Verdict | None = None,
             for i, form in sorted(jet.forms.items())
         },
     }
+
+
+def jet_to_json(jet: Jet, verdict: Verdict | None = None,
+                diagnostics: dict | None = None) -> str:
+    obj = _jet_dict(jet)
     if verdict is not None:
         obj["verdict"] = verdict.status
     if diagnostics is not None:
@@ -710,9 +670,9 @@ def jsonable(obj):
     if isinstance(obj, Verdict):
         return {"status": obj.status, "diagnostics": jsonable(obj.diagnostics)}
     if isinstance(obj, DensityTrace):
-        return json.loads(obj.to_json())
+        return obj.to_dict()
     if isinstance(obj, Jet):
-        return json.loads(jet_to_json(obj))
+        return _jet_dict(obj)
     if isinstance(obj, HomogeneousForm):
         return {"degree": obj.degree,
                 "coefficients": [[list(b), np.asarray(c).tolist()]

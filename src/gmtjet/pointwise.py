@@ -20,6 +20,7 @@ from .density import (
     upper_density,
 )
 from .geometry import (
+    Complement,
     Jet,
     Plane,
     Region,
@@ -298,9 +299,6 @@ class CarvedRegion(Region):
             thresh = horiz ** jet.degree / (2.0 * j)
         return cone_ok & (dev <= thresh + 1e-15)
 
-    def bounding_ball(self):
-        return None
-
 
 def carve_full_density_subset(oracle: MeasureOracle, a, jet: Jet,
                               schedule: ScaleSchedule = ScaleSchedule(),
@@ -314,24 +312,11 @@ def carve_full_density_subset(oracle: MeasureOracle, a, jet: Jet,
     a = np.asarray(a, dtype=float)
     region = CarvedRegion(a, jet, schedule.radii)
     carved = oracle.restrict(region)
-    removed = oracle.restrict(CarvedComplement(region))
+    removed = oracle.restrict(Complement(region))
     trace = upper_density(removed, a, jet.plane.m, schedule, tol,
                           clip_factor=VANISHING_CLIP)
     status = settle_vanishing(oracle, trace, jet.plane.m, tol)
-    verdict = Verdict("holds" if status == "holds" else status,
-                      {"removed_trace": trace})
-    return carved, verdict
-
-
-class CarvedComplement(Region):
-    def __init__(self, inner: CarvedRegion):
-        self.inner = inner
-
-    def contains_many(self, X):
-        return ~self.inner.contains_many(X)
-
-    def bounding_ball(self):
-        return None
+    return carved, Verdict(status, {"removed_trace": trace})
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,16 @@ def test_lower_cone_contained_in_upper(line, dyadic):
             assert up.status == "holds"
 
 
+def test_empty_aperture_grid_is_inconclusive(line):
+    # with no aperture tested nothing can hold
+    a, e1 = np.zeros(2), np.array([1.0, 0.0])
+    up = in_upper_tangent_cone(line.oracle, a, 1, e1, eps_grid=(), schedule=line.schedule)
+    lo = in_lower_tangent_cone(line.oracle, a, 1, e1, eps_grid=(), schedule=line.schedule)
+    vii, viii = cone_condition_check(line.oracle, a, X_AXIS, eps_grid=(),
+                                     schedule=line.schedule)
+    assert [up.status, lo.status, vii.status, viii.status] == ["inconclusive"] * 4
+
+
 def test_upper_cone_zero_vector_reduces_to_density(line):
     verdict = in_upper_tangent_cone(line.oracle, np.zeros(2), 1, np.zeros(2),
                                     schedule=line.schedule)

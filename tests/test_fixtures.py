@@ -154,6 +154,13 @@ def test_aag_distance_function(aag):
 # the comb
 
 
+def test_comb_cloud_has_four_samples_per_tooth():
+    comb = make_fixture("comb")
+    cloud = comb.sample_cloud(per_piece=32768)
+    assert len(cloud.weights) == 4 * (comb.params["n_teeth"] + 1)
+    assert abs(cloud.weights.sum() - (comb.params["n_teeth"] + 1)) <= 1e-6
+
+
 def test_comb_lower_density_positive():
     comb = make_fixture("comb")
     a = comb.marked_points[0]

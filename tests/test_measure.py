@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gmtjet.density import FnPositive
 from gmtjet.geometry import (
     ClosedBall,
     Complement,
@@ -16,6 +17,7 @@ from gmtjet.geometry import (
     Jet,
     OpenBall,
     Plane,
+    PlaneCone,
 )
 from gmtjet.measure import (
     ChartSpec,
@@ -24,6 +26,7 @@ from gmtjet.measure import (
     SegmentPiece,
     WeightedCloud,
     chart_oracle,
+    clip_segments,
     cloud_oracle,
     line_intervals,
     read_cloud,
@@ -93,6 +96,68 @@ def test_cone_line_intervals_match_scan():
         inside = cone.contains_many(p0[None, :] + ts[:, None] * u[None, :])
         length = float(np.trapezoid(inside.astype(float), ts))
         assert abs(sum(b - a for a, b in analytic) - length) <= 5e-3
+
+
+def closed_form_regions(n):
+    """Every region family with a closed-form clip, in R^n."""
+    c = RNG.uniform(-0.5, 0.5, size=n)
+    first = Plane.axis(n, [0])
+    tilted = Plane.from_spanning(RNG.standard_normal((max(n - 1, 1), n)))
+    v = RNG.standard_normal(n)
+    v /= np.linalg.norm(v)
+    return {
+        "full": FullSpace(),
+        "closed_ball": ClosedBall(c, 0.7),
+        "open_ball": OpenBall(-c, 0.4),
+        "cylinder": Cylinder(tilted, c, 0.6, 0.3),
+        "slab": Cylinder(first, c, math.inf, 0.2),
+        "tube": Cylinder(first, c, 0.5, math.inf),
+        "cone": Cone(c, v, 0.4),
+        "wide_cone": Cone(c, v, 1.5),
+        "plane_cone": PlaneCone(tilted, c, 0.5),
+        "outside_ball": Complement(ClosedBall(c, 0.5)),
+        "outside_cone": Complement(Cone(-c, v, 0.3)),
+        "ball_minus_plane_cone": Intersection(ClosedBall(c, 0.9),
+                                              Complement(PlaneCone(first, c, 0.3))),
+        "cylinder_and_cone": Intersection(Cylinder(tilted, c, 0.8, 0.5), Cone(c, -v, 0.6)),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_clip_engine_matches_dense_scan(n):
+    # random segments plus exactly axis-parallel ones, through and beside
+    # the regions
+    count, cells = 60, 4000
+    p0 = RNG.uniform(-1, 1, size=(count, n))
+    u = RNG.standard_normal((count, n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    for i in range(2 * n):
+        u[i] = 0.0
+        u[i, i % n] = 1.0 if i < n else -1.0
+    t0 = -RNG.uniform(0.1, 1.5, size=count)
+    t1 = RNG.uniform(0.1, 1.5, size=count)
+    mids = t0[:, None] + (t1 - t0)[:, None] * (np.arange(cells) + 0.5) / cells
+    pts = (p0[:, None, :] + mids[:, :, None] * u[:, None, :]).reshape(-1, n)
+    for name, region in closed_form_regions(n).items():
+        lo, hi = clip_segments(region, p0, u, t0, t1)
+        assert np.all(t0[:, None] <= lo) and np.all(lo <= hi) and np.all(hi <= t1[:, None])
+        for row_lo, row_hi in zip(lo, hi):
+            full = row_hi > row_lo
+            order = np.argsort(row_lo[full])
+            assert np.all(row_lo[full][order][1:] >= row_hi[full][order][:-1] - 1e-12), name
+        inside = region.contains_many(pts).reshape(count, cells)
+        scan = inside.mean(axis=1) * (t1 - t0)
+        assert np.allclose((hi - lo).sum(axis=1), scan, rtol=0,
+                           atol=5 * float((t1 - t0).max()) / cells), name
+
+
+def test_clip_engine_scan_budget():
+    region = FnPositive(lambda X: X[:, 0])
+    u = np.array([1.0, 0.0])
+    lo, hi = clip_segments(region, np.zeros((1024, 2)), u, -np.ones(1024), np.ones(1024))
+    assert np.allclose(lo, 0.0, atol=1e-12) and np.allclose(hi, 1.0)
+    with pytest.raises(NotImplementedError, match="FnPositive"):
+        clip_segments(region, np.zeros((1025, 2)), u, -np.ones(1025), np.ones(1025))
 
 
 def test_graph_nbhd_intervals_via_bisection():
