@@ -59,9 +59,12 @@ class UsageError(Exception):
 
 def _parse_point(text: str) -> np.ndarray:
     try:
-        return np.array([float(tok) for tok in text.replace(",", " ").split()])
+        point = np.array([float(tok) for tok in text.replace(",", " ").split()])
     except ValueError:
         raise UsageError(f"cannot parse point {text!r}")
+    if not np.all(np.isfinite(point)):
+        raise UsageError(f"point {text!r} has a non-finite coordinate")
+    return point
 
 
 def _parse_schedule(text: str) -> ScaleSchedule:
@@ -518,7 +521,7 @@ def cmd_plot_data(args) -> int:
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read report {args.trace!r}: {exc}")
     traces = report.get("traces")
-    if not isinstance(traces, list) or args.index >= len(traces):
+    if not isinstance(traces, list) or not 0 <= args.index < len(traces):
         raise UsageError(f"report has no trace at index {args.index}")
     entries = traces[args.index].get("entries", [])
     with open(args.out, "w") as fp:

@@ -258,7 +258,7 @@ def _make_circle(params):
     R = float(params.get("R", 1.0))
     if R <= 0:
         raise ValueError("circle needs R > 0")
-    resolution = int(params.get("resolution", 32768))
+    resolution = params.get("resolution", 32768)
 
     def mapping(p):
         th = p[:, 0]
@@ -302,7 +302,7 @@ def _make_sphere(params):
         raise ValueError("sphere needs R > 0")
     # fine enough that the vanishing-density cone checks resolve the
     # transition radius 2*eps*R of the smallest grid eps
-    resolution = int(params.get("resolution", 768))
+    resolution = params.get("resolution", 768)
 
     def mapping(p):
         th, ph = p[:, 0], p[:, 1]
@@ -366,7 +366,7 @@ def _make_torus(params):
     # term s^4/(8 r^3) crosses the order-3 residual threshold 0.03 s^3 near
     # s = 6.5e-3; the grid must stay usable a full trailing window below
     # that, which takes a much finer grid than the sphere needs
-    resolution = int(params.get("resolution", 1536))
+    resolution = params.get("resolution", 1536)
 
     def mapping(p):
         th, ph = p[:, 0], p[:, 1]

@@ -3,7 +3,9 @@
 Three backends:
 
 * chart quadrature (midpoint tensor grids over parametric charts, with a
-  one-refinement error estimate),
+  one-refinement error estimate), built on the first query and stored
+  sorted by distance to an anchor center, so the many radii a density trace
+  asks about one center are prefix slices of the grid,
 * weighted point clouds (empirical, granularity-limited),
 * exact lengths of unions of line segments, from one line-clipping engine
   vectorized over segment families (closed forms for balls, cylinders, cones
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -496,6 +499,11 @@ class ChartSpec:
     quad_resolution: int = 256
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
+    def __post_init__(self):
+        res = self.quad_resolution
+        if isinstance(res, bool) or not isinstance(res, numbers.Integral) or res < 1:
+            raise ValueError(f"quad_resolution must be an integer >= 1, got {res!r}")
+
     def _numeric_jacobian(self, params: np.ndarray) -> np.ndarray:
         h = 1e-6
         m = params.shape[1]
@@ -531,51 +539,135 @@ class ChartSpec:
         return pts, jm * cell, extent
 
 
+class _AnchoredGrid:
+    """One quadrature grid (nodes, weights, cell extents) whose rows are stored
+    in stable-sort order of distance to an anchor center.
+
+    `index` holds the original row of each stored row and `dist` the sorted
+    distances to the anchor, so a cull at the anchor is a prefix slice.  A
+    cull anywhere else makes one pass over the grid in BLOCK-row chunks and
+    sorts only the rows it selects; the grid moves its anchor to a center
+    culled twice in a row, and keeps its original order until then.  Either
+    way a cull returns the rows within reach ordered by (distance, original
+    row), exactly as a stable argsort of the whole grid orders them.
+    """
+
+    def __init__(self, pts, w, ell):
+        self.pts, self.w, self.ell = pts, w, ell
+        self.index = np.arange(len(w))
+        self.dist = None
+        self.anchor = None      # center bytes of the sort order
+        self.previous = None    # center bytes of the last cull
+        # boundary cells carry fractional coverage up to half an extent
+        # beyond their nodes
+        self.pad = 0.5 * float(ell.max())
+        self.max_weight = float(w.max())
+
+    def _at_anchor(self, center: np.ndarray) -> bool:
+        key = center.tobytes()
+        if key != self.anchor and key == self.previous:
+            self._sort(center)
+            self.anchor = key
+        self.previous = key
+        return key == self.anchor
+
+    def _chunks(self, center):
+        """(offset, nodes - center) per BLOCK rows of the stored order."""
+        for i in range(0, len(self.w), BLOCK):
+            yield i, self.pts[i:i + BLOCK] - center
+
+    def _original_order(self):
+        """Stored position of each original row."""
+        pos = np.empty_like(self.index)
+        pos[self.index] = np.arange(len(pos))
+        return pos
+
+    def _sort(self, center):
+        pos = self._original_order()
+        dist = np.empty(len(pos))
+        for i, x in self._chunks(center):
+            dist[i:i + len(x)] = np.linalg.norm(x, axis=1)
+        dist = dist[pos]
+        order = np.argsort(dist, kind="stable")
+        take = pos[order]
+        self.pts = self.pts[take]
+        self.w = self.w[take]
+        self.ell = self.ell[take]
+        self.index, self.dist = order, dist[order]
+
+    def cull(self, region: Region):
+        """The rows whose cells may meet the region's bounding ball, by
+        (distance, original row); all rows in original order if unbounded."""
+        bb = region.bounding_ball()
+        if bb is None:
+            rows = self._original_order()
+        else:
+            center = np.asarray(bb[0], dtype=float)
+            reach = float(bb[1]) + self.pad
+            if self._at_anchor(center):
+                rows = slice(0, np.searchsorted(self.dist, reach, side="right"))
+            else:
+                pos, dist = [], []
+                for i, x in self._chunks(center):
+                    d = np.linalg.norm(x, axis=1)
+                    near = np.flatnonzero(d <= reach)
+                    pos.append(near + i)
+                    dist.append(d[near])
+                pos, dist = np.concatenate(pos), np.concatenate(dist)
+                rows = pos[np.lexsort((self.index[pos], dist))]
+        return self.pts[rows], self.w[rows], self.ell[rows]
+
+    def in_ball(self, center: np.ndarray, radius: float):
+        """Nodes and weights with |x - center|^2 <= radius^2, in original row
+        order; at the anchor only the prefix that can hold them is scanned.
+        Sample queries never move the anchor: a caller probing many centers
+        a few times each would pay a full sort per center."""
+        if center.tobytes() == self.anchor:
+            # the sorted norms and the squared test below round differently
+            end = np.searchsorted(self.dist, abs(radius) * (1 + 1e-9), side="right")
+            chunks = [(0, self.pts[:end] - center)]
+        else:
+            chunks = self._chunks(center)
+        pos = np.concatenate([i + np.flatnonzero(np.einsum("ij,ij->i", x, x) <= radius ** 2)
+                              for i, x in chunks])
+        rows = pos[np.argsort(self.index[pos])]
+        return self.pts[rows], self.w[rows]
+
+
 class ChartOracle(MeasureOracle):
-    """Indicator quadrature over a list of charts with one-refinement error."""
+    """Indicator quadrature over a list of charts with one-refinement error.
+
+    The coarse (quad_resolution) and fine (2 quad_resolution) grids are built
+    on the first `mass`, `samples_in_ball` or `granularity` call, so an
+    oracle that is never queried costs one mapped domain corner, which gives
+    `n`.  Density traces query many radii around one center; each grid keeps
+    its rows sorted by distance to an anchor center (see `_AnchoredGrid`), so
+    a query there culls to the bounding ball by a prefix slice.  The culled
+    rows, and their order, are those of a stable argsort of the whole grid
+    by distance to the query's center, which keeps every sum bit for bit.
+    """
 
     def __init__(self, charts: Sequence[ChartSpec], m: int):
         if not charts:
             raise ValueError("no charts")
         self.charts = list(charts)
         self.m = m
-        coarse, fine = [], []
-        for ch in self.charts:
-            coarse.append(ch.quadrature(ch.quad_resolution))
-            fine.append(ch.quadrature(2 * ch.quad_resolution))
-        self._coarse = tuple(np.concatenate(a, axis=0) for a in zip(*coarse))
-        self._fine = tuple(np.concatenate(a, axis=0) for a in zip(*fine))
-        self.n = self._fine[0].shape[1]
-        # per-grid sorted-distance cache: density traces query many radii
-        # around one center, so culling to the bounding ball first turns the
-        # full-grid scans into neighborhood scans
-        self._ball_cache: dict = {}
+        corner = np.array([[lo for lo, _ in self.charts[0].domain]], dtype=float)
+        self.n = self.charts[0].mapping(corner).shape[1]
+        self._built = None
 
-    def _cull(self, grid_id: int, grid, region: Region):
-        bb = region.bounding_ball()
-        if bb is None:
-            return grid
-        center, radius = np.asarray(bb[0], dtype=float), float(bb[1])
-        key = (grid_id, center.tobytes())
-        cached = self._ball_cache.get(key)
-        if cached is None:
-            d = np.linalg.norm(grid[0] - center, axis=1)
-            order = np.argsort(d, kind="stable")
-            cached = (order, d[order])
-            # keep at most one center per grid
-            self._ball_cache = {k: v for k, v in self._ball_cache.items()
-                                if k[0] != grid_id}
-            self._ball_cache[key] = cached
-        order, dist = cached
-        # keep the outer half-shell of boundary cells: they carry nonzero
-        # fractional coverage even though their nodes lie outside the ball
-        reach = radius + 0.5 * float(grid[2].max())
-        idx = order[:np.searchsorted(dist, reach, side="right")]
-        return tuple(arr[idx] for arr in grid)
+    def _grids(self) -> tuple[_AnchoredGrid, _AnchoredGrid]:
+        """(coarse, fine), built on first use."""
+        if self._built is None:
+            grids = []
+            for scale in (1, 2):
+                parts = [ch.quadrature(scale * ch.quad_resolution) for ch in self.charts]
+                grids.append(_AnchoredGrid(*(np.concatenate(a, axis=0) for a in zip(*parts))))
+            self._built = tuple(grids)
+        return self._built
 
-    def _grid_sum(self, grid_id: int, region: Region) -> tuple[float, float]:
-        grid = self._cull(grid_id, (self._coarse, self._fine)[grid_id], region)
-        pts, w, ell = grid
+    def _grid_sum(self, grid: _AnchoredGrid, region: Region) -> tuple[float, float]:
+        pts, w, ell = grid.cull(region)
         margin = region.margin(pts)
         if margin is None:
             keep = region.contains_many(pts)
@@ -591,20 +683,18 @@ class ChartOracle(MeasureOracle):
         return value, floor
 
     def mass(self, region: Region) -> tuple[float, float]:
-        value, floor = self._grid_sum(1, region)
-        coarse, _ = self._grid_sum(0, region)
+        coarse_grid, fine_grid = self._grids()
+        value, floor = self._grid_sum(fine_grid, region)
+        coarse, _ = self._grid_sum(coarse_grid, region)
         # the relative term absorbs rounding noise in the quadrature weights,
         # which is well above machine epsilon when the jacobian is numeric
         return value, abs(value - coarse) + floor + 1e-11 * abs(value)
 
     def samples_in_ball(self, center, radius):
-        fp, fw, _ = self._fine
-        d = fp - np.asarray(center, dtype=float)
-        keep = np.einsum("ij,ij->i", d, d) <= radius**2
-        return fp[keep], fw[keep]
+        return self._grids()[1].in_ball(np.asarray(center, dtype=float), radius)
 
     def granularity(self):
-        return float(self._fine[1].max())
+        return self._grids()[1].max_weight
 
 
 def chart_oracle(charts: Sequence[ChartSpec], m: int) -> ChartOracle:

@@ -42,6 +42,17 @@ def test_fixture_emit_bad_alpha(tmp_path, capsys):
     assert "alpha in (0.5, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["circle", "sphere"])
+@pytest.mark.parametrize("resolution", ["0", "-3", "2.5"])
+def test_fixture_emit_bad_resolution(tmp_path, capsys, name, resolution):
+    out = tmp_path / "x"
+    code = main(["fixture", "emit", name, "--param", f"resolution={resolution}",
+                 "--out", str(out)])
+    assert code == 2
+    assert "quad_resolution" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -110,6 +121,14 @@ def test_analyze_usage_errors(tmp_path):
                  "--point", "0,0", "--order", "1"]) == 2
 
 
+@pytest.mark.parametrize("point", ["nan,0", "0,inf", "inf,nan"])
+def test_analyze_non_finite_point(tmp_path, capsys, point):
+    code, report = analyze(tmp_path, "--input", "fixture:line", "--point", point,
+                           "--order", "2")
+    assert code == 2 and report is None
+    assert "non-finite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -176,6 +195,17 @@ def test_plot_data_missing_trace(tmp_path):
                  "--out", str(tmp_path / "t.csv")]) == 2
     assert main(["plot-data", "--trace", str(tmp_path / "gone.json"),
                  "--out", str(tmp_path / "t.csv")]) == 2
+
+
+def test_plot_data_index_out_of_range(tmp_path):
+    report = str(tmp_path / "report.json")
+    json.dump({"traces": [{"entries": [[0.5, 1.0, 0.0]]}]}, open(report, "w"))
+    out = tmp_path / "t.csv"
+    for index in ("-1", "1"):
+        assert main(["plot-data", "--trace", report, "--index", index,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+    assert main(["plot-data", "--trace", report, "--index", "0", "--out", str(out)]) == 0
 
 
 # ---------------------------------------------------------------------------

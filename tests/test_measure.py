@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmtjet.density import FnPositive
+from gmtjet.fixtures import make_fixture
 from gmtjet.geometry import (
     ClosedBall,
     Complement,
@@ -250,6 +251,104 @@ def test_chart_vs_interval_on_segment():
         va, ea = approx.mass(region)
         ve, _ = exact.mass(region)
         assert abs(va - ve) <= 3 * ea + 1e-12
+
+
+class FullGridChart:
+    """Chart quadrature that culls by a stable argsort of the whole grid and
+    gathers, and scans the whole fine grid for samples: the reference the
+    anchored grids of ChartOracle must reproduce bit for bit."""
+
+    def __init__(self, charts):
+        self.grids = [tuple(np.concatenate(a, axis=0) for a in zip(
+            *(ch.quadrature(scale * ch.quad_resolution) for ch in charts)))
+            for scale in (1, 2)]
+
+    @staticmethod
+    def _grid_sum(grid, region):
+        bb = region.bounding_ball()
+        if bb is not None:
+            d = np.linalg.norm(grid[0] - np.asarray(bb[0], dtype=float), axis=1)
+            order = np.argsort(d, kind="stable")
+            reach = float(bb[1]) + 0.5 * float(grid[2].max())
+            idx = order[:np.searchsorted(d[order], reach, side="right")]
+            grid = tuple(arr[idx] for arr in grid)
+        pts, w, ell = grid
+        margin = region.margin(pts)
+        if margin is None:
+            keep = region.contains_many(pts)
+            return float(w[keep].sum()), float(w[keep].max()) if keep.any() else 0.0
+        frac = np.clip(0.5 + margin / ell, 0.0, 1.0)
+        partial = (frac > 0.0) & (frac < 1.0)
+        return float(np.dot(w, frac)), float(w[partial].max()) if partial.any() else 0.0
+
+    def mass(self, region):
+        value, floor = self._grid_sum(self.grids[1], region)
+        coarse, _ = self._grid_sum(self.grids[0], region)
+        return value, abs(value - coarse) + floor + 1e-11 * abs(value)
+
+    def samples_in_ball(self, center, radius):
+        fp, fw, _ = self.grids[1]
+        d = fp - np.asarray(center, dtype=float)
+        keep = np.einsum("ij,ij->i", d, d) <= radius ** 2
+        return fp[keep], fw[keep]
+
+
+def test_anchored_chart_matches_full_grid_cull():
+    charts = make_fixture("sphere", resolution=48).oracle.charts
+    oracle, reference = chart_oracle(charts, m=2), FullGridChart(charts)
+    pole = np.array([0.0, 0.0, 1.0])
+    side = np.array([0.3, -0.2, math.sqrt(1 - 0.13)])
+    v, eps = np.array([1.0, 0.0, 0.0]), 0.3
+    # the grid's latitude rings put many nodes at exactly equal distances from
+    # the pole, so the cull order rests on the tie-break by original row
+    x = reference.grids[1][0] - pole
+    d = np.linalg.norm(x, axis=1)
+    assert len(np.unique(d)) < len(d) // 10
+    # a sample radius through nodes that the squared-distance test keeps
+    kept = np.sort(d[np.einsum("ij,ij->i", x, x) <= d ** 2])
+    ring = float(kept[len(kept) // 2])
+
+    def ball(c, r):
+        return ClosedBall(c, r)
+
+    def lower_cone(r):
+        return Intersection(ClosedBall(pole, (1 + eps) * r), OpenBall(pole + r * v, eps * r))
+
+    queries = (
+        [ball(pole, r) for r in (0.9, 0.5, 0.25, 0.5)]               # anchor at the pole
+        + [lower_cone(r) for r in (0.6, 0.3, 0.15)]                   # one-off centers
+        + [ball(side, 0.4), ball(pole, 0.4)] * 2                      # alternation
+        + [ball(side, 0.5), ball(side, 0.3), ball(side, 0.7)]         # re-anchor at side
+        + [ball(pole, 0.35), ball(pole, 0.2), ball(pole, 0.6)]        # and back
+        + [FullSpace(), Complement(ClosedBall(pole, 0.5))]            # unbounded
+        + [Intersection(ClosedBall(side, 0.6), FnPositive(lambda X: X[:, 0] - 0.1))]
+    )
+    for region in queries:
+        assert oracle.mass(region) == reference.mass(region)
+        for c, r in ((pole, 0.3), (side, 0.45), (pole, ring), (pole, 2.5)):
+            got, want = oracle.samples_in_ball(c, r), reference.samples_in_ball(c, r)
+            assert all(np.array_equal(g, w_) for g, w_ in zip(got, want))
+    assert oracle.granularity() == float(reference.grids[1][1].max())
+
+
+def test_chart_oracle_builds_no_grid_until_queried(monkeypatch):
+    built = []
+    quadrature = ChartSpec.quadrature
+
+    def counted(self, resolution):
+        built.append(resolution)
+        return quadrature(self, resolution)
+
+    monkeypatch.setattr(ChartSpec, "quadrature", counted)
+    fx = make_fixture("torus")
+    assert built == []
+    assert fx.oracle.n == 3
+
+
+@pytest.mark.parametrize("resolution", [0, -3, 2.5, True, "8"])
+def test_chart_spec_rejects_bad_resolution(resolution):
+    with pytest.raises(ValueError):
+        circle_chart(resolution=resolution)
 
 
 # ---------------------------------------------------------------------------
