@@ -105,9 +105,9 @@ def _load_input(spec: str):
         return fx.oracle, fx.schedule, fx
     try:
         cloud, m = read_cloud(spec)
+        return CloudOracle(cloud, m=m), ScaleSchedule(), None
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read cloud {spec!r}: {exc}")
-    return CloudOracle(cloud, m=m), ScaleSchedule(), None
 
 
 def _verdict_exit(status: str) -> int:
@@ -131,6 +131,9 @@ def cmd_fixture(args) -> int:
         fx = make_fixture(args.name, **_parse_params(args.param))
     except (KeyError, ValueError) as exc:
         raise UsageError(str(exc))
+    except TypeError as exc:
+        # a tuple where a number belongs, or the reverse
+        raise UsageError(f"bad parameters for fixture {args.name!r}: {exc}")
     # segment-backed oracles quantize to their sampling density; emit them
     # fine enough that re-analysis of the file resolves the default schedule
     cloud = fx.sample_cloud(per_piece=32768)
@@ -184,10 +187,6 @@ def run_analysis(oracle, a, k, alpha, schedule) -> tuple[dict, int]:
         traces.append(upper_density(oracle, a, oracle.m, schedule))
     except ValueError:
         pass
-    for key in ("residual_traces", "traces"):
-        extra = verdict.diagnostics.get(key)
-        if isinstance(extra, list):
-            traces.extend(extra)
     timings["density_trace"] = time.perf_counter() - t0
 
     report = {
@@ -205,6 +204,10 @@ def run_analysis(oracle, a, k, alpha, schedule) -> tuple[dict, int]:
 
 
 def cmd_analyze(args) -> int:
+    if args.order < 1:
+        raise UsageError(f"--order must be >= 1, got {args.order}")
+    if not 0.0 <= args.alpha <= 1.0:
+        raise UsageError(f"--alpha must lie in [0, 1], got {args.alpha}")
     oracle, default_schedule, fx = _load_input(args.input)
     a = _parse_point(args.point)
     if a.shape[0] != oracle.n:

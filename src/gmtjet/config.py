@@ -12,19 +12,13 @@ from dataclasses import dataclass, field
 class Tolerances:
     # linear algebra
     orthonormal: float = 1e-12
-    projector_idempotent: float = 1e-10
     plane_membership: float = 1e-10
-    shear_roundtrip: float = 1e-12
 
     # verdict rules for density traces
     tol_zero: float = 1e-2
     trailing_window: int = 5
     diverge_threshold: float = 10.0
     positive_spread: float = 0.05
-
-    # minimization of distance-to-graph
-    minimize_tol: float = 1e-10
-    minimize_starts: int = 5
 
     # jet fitting
     eigen_gap: float = 10.0

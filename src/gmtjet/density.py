@@ -7,9 +7,6 @@ window maximum, lower quantities a running window minimum.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -108,25 +105,6 @@ class DensityTrace:
         if self.estimate is not None:
             obj["estimate"] = float(self.estimate)
         return obj
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "DensityTrace":
-        obj = json.loads(text)
-        sched = ScaleSchedule(**obj["schedule"])
-        return DensityTrace(np.array(obj["point"]), obj["m"], sched,
-                            [tuple(e) for e in obj["entries"]],
-                            obj["verdict"], obj.get("estimate"))
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["r", "ratio", "err"])
-        for r, v, e in self.entries:
-            writer.writerow([repr(float(r)), repr(float(v)), repr(float(e))])
-        return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +530,6 @@ def estimate_plane_pca(oracle: MeasureOracle, a, m: int,
 
 def blow_up_tangent(oracle: MeasureOracle, a, m: int,
                     schedule: ScaleSchedule = ScaleSchedule(),
-                    probe_fns=None,
                     tol: Tolerances = DEFAULT_TOL):
     """Rescaled-integral tangent plane in the functional sense.
 
@@ -564,10 +541,7 @@ def blow_up_tangent(oracle: MeasureOracle, a, m: int,
     n = oracle.n
     schedule = schedule.clip_for(oracle, tol)
     radii = schedule.radii
-    if probe_fns is None:
-        probe_fns, rho = _bump_family(n)
-    else:
-        probe_fns, rho = probe_fns
+    probe_fns, rho = _bump_family(n)
     support = 0.5 + rho  # centers at distance <= 1/2
 
     # empirical traces per probe

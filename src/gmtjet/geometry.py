@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar, minimize
 
 from .config import DEFAULT_TOL
 
@@ -119,15 +118,6 @@ class Plane:
         x = np.asarray(x, dtype=float)
         scale = max(1.0, float(np.linalg.norm(x)))
         return float(np.linalg.norm(self.normal(x))) <= tol * scale
-
-
-def project(plane: Plane, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split x into its tangential and normal parts with respect to the plane."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != plane.n:
-        raise ValueError(f"point dimension {x.shape[-1]} != plane ambient {plane.n}")
-    t = plane.tangential(x)
-    return t, x - t
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +249,6 @@ class Jet:
             raise ValueError("evaluation point is not in the jet plane")
         return self.eval_coords(self.plane.tangent_coords(chi_ambient)[None, :])[0]
 
-    def truncated(self, degree: int) -> "Jet":
-        forms = {i: f for i, f in self.forms.items() if i <= degree}
-        return Jet(self.base, self.plane, degree, 0.0, forms)
-
-    def graph_points(self, chi: np.ndarray) -> np.ndarray:
-        """Ambient points chi + P(chi) for tangent coordinates chi (N, m)."""
-        chi = np.atleast_2d(np.asarray(chi, dtype=float))
-        return chi @ self.plane.basis + self.eval_coords(chi)
-
     def max_coefficient_gap(self, other: "Jet") -> float:
         """Largest coefficient-wise distance between two jets on the same plane."""
         gap = 0.0
@@ -284,11 +265,6 @@ class Jet:
                 cb = np.asarray(fb.coefficients.get(beta, np.zeros(self.plane.n))) if fb else np.zeros(self.plane.n)
                 gap = max(gap, float(np.linalg.norm(ca - cb)))
         return gap
-
-
-def jet_eval(jet: Jet, chi_ambient: np.ndarray) -> np.ndarray:
-    """P(chi) for a tangential offset chi given as an ambient vector in T."""
-    return jet(chi_ambient)
 
 
 def jet_to_full_differential(jet: Jet, i: int) -> np.ndarray:
@@ -475,40 +451,6 @@ class Cone(Region):
 
 
 @dataclass(frozen=True)
-class GraphNbhd(Region):
-    """X_{k,alpha}(a, T, f, kappa): vertical deviation from gr(f) bounded by
-    kappa * |horizontal offset from a|^(k+alpha).
-
-    `f` maps tangent coordinates (N, m) to ambient normal vectors (N, n).
-    """
-
-    base: np.ndarray
-    plane: Plane
-    f: Callable[[np.ndarray], np.ndarray]
-    kappa: float
-    exponent: float  # k + alpha
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", np.asarray(self.base, dtype=float))
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-
-    @staticmethod
-    def from_jet(jet: Jet, kappa: float, exponent: float | None = None) -> "GraphNbhd":
-        if exponent is None:
-            exponent = jet.degree + jet.alpha
-        return GraphNbhd(jet.base, jet.plane, jet.eval_coords, kappa, exponent)
-
-    def contains_many(self, X):
-        X = np.atleast_2d(X)
-        chi = self.plane.tangent_coords(X)
-        vertical = X @ self.plane.normal_projector - np.atleast_2d(self.f(chi)) @ self.plane.normal_projector
-        dev = np.linalg.norm(vertical, axis=1)
-        horiz = np.linalg.norm((X - self.base) @ self.plane.projector, axis=1)
-        return dev <= self.kappa * horiz**self.exponent
-
-
-@dataclass(frozen=True)
 class Complement(Region):
     inner: Region
 
@@ -570,10 +512,6 @@ class PlaneCone(Region):
                 <= self.eps**2 * np.einsum("ij,ij->i", tang, tang))
 
 
-def region_contains(region: Region, x: np.ndarray) -> bool:
-    return region.contains(x)
-
-
 def vertical_excess(plane: Plane, center: np.ndarray, threshold: float) -> Region:
     """{z : |T_perp_nat(z - center)| > threshold} as a region."""
     return Complement(Cylinder(plane, center, math.inf, threshold)) if threshold > 0 else FullSpace()
@@ -585,112 +523,22 @@ def vertical_excess(plane: Plane, center: np.ndarray, threshold: float) -> Regio
 
 @dataclass(frozen=True)
 class ShearMap:
-    """x -> x - Q(T_nat x) + P(T_nat x) with Q, P polynomial maps T -> T^perp.
+    """x -> x - Q(T_nat x) with Q a polynomial map T -> T^perp.
 
-    Both q_poly and p_poly take tangent coordinates (N, m) and return ambient
-    normal vectors (N, n).  The inverse is exact because T_nat f(x) = T_nat x.
+    q_poly takes tangent coordinates (N, m) and returns ambient normal
+    vectors (N, n).  The inverse is exact because T_nat f(x) = T_nat x.
     """
 
     plane: Plane
     q_poly: Callable[[np.ndarray], np.ndarray]
-    p_poly: Callable[[np.ndarray], np.ndarray]
 
     def _shift(self, X: np.ndarray) -> np.ndarray:
-        chi = self.plane.tangent_coords(np.atleast_2d(X))
-        return np.atleast_2d(self.p_poly(chi)) - np.atleast_2d(self.q_poly(chi))
+        return np.atleast_2d(self.q_poly(self.plane.tangent_coords(X)))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return X + self._shift(X)
+        return X - self._shift(X)
 
     def invert(self, Y: np.ndarray) -> np.ndarray:
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        return Y - self._shift(Y)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(np.asarray(x, dtype=float)[None, :])[0]
-
-    def inverse(self, y: np.ndarray) -> np.ndarray:
-        return self.invert(np.asarray(y, dtype=float)[None, :])[0]
-
-
-def shear_map(plane: Plane, lower_jet: Jet, top_form: HomogeneousForm | None) -> ShearMap:
-    """The diffeomorphism carrying gr(Q) onto gr(P).
-
-    Q is the polynomial of `lower_jet`, P its top-degree replacement (zero if
-    `top_form` is None).
-    """
-    if lower_jet.plane.distance_to(plane) > 1e-12:
-        raise ValueError("jet plane differs from shear plane")
-    if top_form is not None and top_form.plane.distance_to(plane) > 1e-12:
-        raise ValueError("form plane differs from shear plane")
-
-    def p_poly(chi):
-        if top_form is None:
-            return np.zeros((np.atleast_2d(chi).shape[0], plane.n))
-        return top_form.eval_coords(chi)
-
-    return ShearMap(plane, lower_jet.eval_coords, p_poly)
-
-
-# ---------------------------------------------------------------------------
-# distance vs vertical distance
-
-
-def graph_distance(plane: Plane, graph_fn: Callable[[np.ndarray], np.ndarray],
-                   w: np.ndarray, search_radius: float,
-                   tol: float | None = None) -> tuple[float, bool]:
-    """delta_{gr f}(w) by multi-start local minimization over T cap B(0, R).
-
-    graph_fn maps tangent coordinates (N, m) -> ambient normal vectors (N, n).
-    Returns (distance, converged).
-    """
-    tol = DEFAULT_TOL.minimize_tol if tol is None else tol
-    w = np.asarray(w, dtype=float)
-    m = plane.m
-
-    def objective(chi):
-        chi = np.asarray(chi, dtype=float)
-        pt = chi @ plane.basis + graph_fn(chi[None, :])[0]
-        d = pt - w
-        return float(np.dot(d, d))
-
-    w_coords = plane.tangent_coords(w)
-    starts = [w_coords, np.zeros(m)]
-    for j in range(m):
-        for sign in (1.0, -1.0):
-            e = np.zeros(m)
-            e[j] = sign * search_radius / 2.0
-            starts.append(w_coords + e)
-    best = math.inf
-    converged = False
-    for s in starts[: max(DEFAULT_TOL.minimize_starts, 2) + 2 * m]:
-        if m == 1:
-            half = max(search_radius, 1e-6)
-            res = minimize_scalar(lambda t: objective(np.array([t])),
-                                  bounds=(s[0] - half, s[0] + half),
-                                  method="bounded", options={"xatol": tol})
-            val, ok = res.fun, res.success
-        else:
-            res = minimize(objective, s, method="Nelder-Mead",
-                           options={"xatol": tol, "fatol": tol**2, "maxiter": 4000})
-            val, ok = res.fun, res.success
-        if val < best:
-            best = val
-            converged = ok
-    return math.sqrt(max(best, 0.0)), converged
-
-
-def vertical_vs_distance_bounds(plane: Plane, graph_fn: Callable[[np.ndarray], np.ndarray],
-                                lip_bound: float, w: np.ndarray, r: float):
-    """Sandwich delta_gr(w) <= |vertical(w)| <= (2 + Lip) delta_gr(w).
-
-    Returns (delta, vertical, upper_factor, conclusive).  graph_fn maps
-    tangent coordinates to ambient normal vectors and fixes the origin.
-    """
-    w = np.asarray(w, dtype=float)
-    chi_w = plane.tangent_coords(w)
-    vertical = float(np.linalg.norm(
-        w @ plane.normal_projector - graph_fn(chi_w[None, :])[0] @ plane.normal_projector))
-    delta, converged = graph_distance(plane, graph_fn, w, 2.0 * r)
-    return delta, vertical, 2.0 + lip_bound, converged
+        return Y + self._shift(Y)

@@ -10,8 +10,6 @@ set.  For alpha > 0 a Hoelder constant is searched on a dyadic grid.
 """
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .config import DEFAULT_GRIDS, DEFAULT_TOL, Grids, Tolerances
@@ -19,22 +17,17 @@ from .density import (
     DensityTrace,
     FnPositive,
     ScaleSchedule,
-    VANISHING_CLIP,
     Verdict,
     combine_statuses,
     cone_condition_check,
     eta_uniform_condition,
     in_lower_tangent_cone,
     lower_density,
-    settle_vanishing,
-    upper_density,
     vanishing_density_trace,
 )
 from .geometry import (
     ClosedBall,
-    Complement,
     Cylinder,
-    GraphNbhd,
     HomogeneousForm,
     Intersection,
     Jet,
@@ -167,21 +160,24 @@ def estimate_tangent_plane(oracle: MeasureOracle, a,
 # homogeneous form fitting
 
 
+REFINE_ROUNDS = 3
+
+
 def refine_tangent_plane(oracle: MeasureOracle, a, T: Plane, fit_scales,
-                         tol: Tolerances = DEFAULT_TOL, rounds: int = 3) -> Plane:
+                         tol: Tolerances = DEFAULT_TOL) -> Plane:
     """Rotate T to kill the linear term of the local graph regression.
 
     The second-moment plane is only accurate to roughly 1e-6 in angle.  That
     is plenty for order <= 2, but a tilt theta contributes theta * r to the
     vertical residual, which crosses the order-3 thresholds eps * r^3 well
-    inside the tested scales.  A few rounds of low-degree regression drive
-    the tilt to roundoff on graph-like sets and are a no-op on sets with no
-    local graph structure (the linear term comes back empty or zero).
+    inside the tested scales.  REFINE_ROUNDS rounds of low-degree regression
+    drive the tilt to roundoff on graph-like sets and are a no-op on sets
+    with no local graph structure (the linear term comes back empty or zero).
     """
     a = np.asarray(a, dtype=float)
     if T.m >= T.n:
         return T
-    for _ in range(rounds):
+    for _ in range(REFINE_ROUNDS):
         _, med = _scale_regression(oracle, a, T, fit_scales, (1, 2), (3, 4), 1, tol)
         if med is None:
             return T
@@ -271,7 +267,12 @@ def _ridge_solve(A, B, w, ridge):
 
 
 def _residual_region(T: Plane, a: np.ndarray, eval_fn, thresh: float) -> FnPositive:
-    """{x : |vertical part of (x - a) minus the graph value| > thresh}."""
+    """{x : |vertical part of (x - a) minus the graph value| > thresh}.
+
+    `eval_fn` is the fitted polynomial in tangent coordinates relative to a:
+    it gets T(x - a), (N, m), and returns normal vectors (N, n), so a form's
+    or a jet's `eval_coords` is passed as is.
+    """
 
     def g(X):
         X = np.atleast_2d(X)
@@ -300,16 +301,15 @@ def shear_displacement_bound(T: Plane, a, forms):
     return bound
 
 
-def _reduction_shear(T: Plane, a: np.ndarray, form: HomogeneousForm) -> ShearMap:
+def _reduction_shear(T: Plane, a: np.ndarray, poly) -> ShearMap:
+    """x -> x - poly(T(x) - T(a)): flattens the graph of poly over T at a.
+
+    `poly` takes tangent coordinates relative to a, like the residual
+    regions; the shear itself acts on absolute coordinates T(x), so T(a) is
+    subtracted here, once.
+    """
     chi_a = T.tangent_coords(a[None, :])[0]
-
-    def q_poly(chi):
-        return form.eval_coords(np.atleast_2d(chi) - chi_a)
-
-    def p_poly(chi):
-        return np.zeros((np.atleast_2d(chi).shape[0], T.n))
-
-    return ShearMap(T, q_poly, p_poly)
+    return ShearMap(T, lambda chi: poly(np.atleast_2d(chi) - chi_a))
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +452,7 @@ def iterated_jet_fit(oracle: MeasureOracle, a, k: int, alpha: float,
             stages.append(stage)
             status, diag["stage"] = cond_a, f"cylinder_{i}"
             break
-        chi_a = T.tangent_coords(a[None, :])[0]
-        eval_fn = lambda chi, form=form: form.eval_coords(np.atleast_2d(chi) - chi_a)
-        cond_b, db = _residual_condition(cur, a, T, eval_fn, float(i),
+        cond_b, db = _residual_condition(cur, a, T, form.eval_coords, float(i),
                                          schedule, grids, tol)
         stage["residual"] = db
         stage["residual_status"] = cond_b
@@ -466,18 +464,13 @@ def iterated_jet_fit(oracle: MeasureOracle, a, k: int, alpha: float,
         if i < k and form.coefficient_norm() > 1e-12:
             # a zero form shears by the identity; skip the wrapper so exact
             # backends keep their analytic region handling
-            shear = _reduction_shear(T, a, form)
+            shear = _reduction_shear(T, a, form.eval_coords)
             cur = MappedOracle(cur, shear.apply, shear.invert,
                                shear_displacement_bound(T, a, [form]))
     diag["stages"] = stages
 
     if status == "holds" and alpha > 0:
-        chi_a = T.tangent_coords(a[None, :])[0]
-        if k in forms:
-            top = forms[k]
-            eval_fn = lambda chi: top.eval_coords(np.atleast_2d(chi) - chi_a)
-        else:
-            eval_fn = lambda chi: np.zeros((np.atleast_2d(chi).shape[0], T.n))
+        eval_fn = forms[k].eval_coords if k in forms else Jet.zero(a, T, k).eval_coords
         lam_found, lam_status, trace = _hoelder_search(cur, a, T, eval_fn,
                                                        k + alpha, schedule,
                                                        grids, tol)
@@ -490,52 +483,6 @@ def iterated_jet_fit(oracle: MeasureOracle, a, k: int, alpha: float,
 
     jet = Jet(a, T, k, alpha, forms, lam)
     return jet, Verdict(status, diag)
-
-
-# ---------------------------------------------------------------------------
-# graph-neighborhood verification
-
-
-def verify_graph_residual(oracle: MeasureOracle, a, T: Plane, jet: Jet,
-                          schedule: ScaleSchedule = ScaleSchedule(),
-                          tol: Tolerances = DEFAULT_TOL,
-                          grids: Grids = DEFAULT_GRIDS) -> Verdict:
-    """Check the jet's residual hypotheses, then the kappa-neighborhood claim.
-
-    When the residual density vanishes at every aperture and a Hoelder
-    constant lambda is available, the set must live in the graph
-    neighborhood of width kappa = 2^(k+alpha) lambda (1 + 1e-2) at small
-    scales (i.e. the density outside it vanishes).
-    """
-    a = np.asarray(a, dtype=float)
-    k, alpha = jet.degree, jet.alpha
-    chi_a = T.tangent_coords(a[None, :])[0]
-    eval_fn = lambda chi: jet.eval_coords(np.atleast_2d(chi) - chi_a)
-    diag: dict = {}
-
-    hyp, dh = _residual_condition(oracle, a, T, eval_fn, float(k),
-                                  schedule, grids, tol)
-    diag["residual"] = dh
-    if hyp != "holds":
-        return Verdict(hyp, dict(diag, stage="residual"))
-
-    lam = jet.hoelder_constant
-    if not lam or lam <= 0:
-        lam, lam_status, trace = _hoelder_search(oracle, a, T, eval_fn,
-                                                 k + alpha, schedule, grids, tol)
-        diag["hoelder_trace"] = trace
-        if lam is None:
-            return Verdict(lam_status, dict(diag, stage="hoelder"))
-    diag["lambda"] = lam
-
-    kappa = 2.0**(k + alpha) * lam * (1 + 1e-2)
-    diag["kappa"] = kappa
-    nbhd = GraphNbhd(a, T, lambda chi: a + eval_fn(chi), kappa, k + alpha)
-    outside = oracle.restrict(Complement(nbhd))
-    trace = upper_density(outside, a, T.m, schedule, tol,
-                          clip_factor=VANISHING_CLIP)
-    diag["outside_trace"] = trace
-    return Verdict(settle_vanishing(oracle, trace, T.m, tol), diag)
 
 
 # ---------------------------------------------------------------------------
@@ -578,50 +525,19 @@ def shear_invariance_check(oracle: MeasureOracle, a, jet: Jet,
     a = np.asarray(a, dtype=float)
     T = jet.plane
     k = jet.degree
-    chi_a = T.tangent_coords(a[None, :])[0]
-    eval_fn = lambda chi: jet.eval_coords(np.atleast_2d(chi) - chi_a)
-    pre, dpre = _residual_condition(oracle, a, T, eval_fn, float(k),
+    pre, dpre = _residual_condition(oracle, a, T, jet.eval_coords, float(k),
                                     schedule, grids, tol)
 
-    shear = ShearMap(T, lambda chi: jet.eval_coords(np.atleast_2d(chi) - chi_a),
-                     lambda chi: np.zeros((np.atleast_2d(chi).shape[0], T.n)))
+    shear = _reduction_shear(T, a, jet.eval_coords)
     flat = MappedOracle(oracle, shear.apply, shear.invert,
                         shear_displacement_bound(T, a, jet.forms.values()))
-    zero_fn = lambda chi: np.zeros((np.atleast_2d(chi).shape[0], T.n))
-    post, dpost = _residual_condition(flat, a, T, zero_fn, float(k),
-                                      schedule, grids, tol)
+    post, dpost = _residual_condition(flat, a, T, Jet.zero(a, T, k).eval_coords,
+                                      float(k), schedule, grids, tol)
     diag = {"before": dpre, "after": dpost, "before_status": pre,
             "after_status": post}
     if "inconclusive" in (pre, post):
         return Verdict("inconclusive", diag)
     return Verdict("holds" if pre == post else "fails", diag)
-
-
-def order_monotonicity_check(oracle: MeasureOracle, a, k: int, alpha: float,
-                             schedule: ScaleSchedule = ScaleSchedule(),
-                             tol: Tolerances = DEFAULT_TOL,
-                             grids: Grids = DEFAULT_GRIDS,
-                             tangent: tuple[int, Plane] | None = None) -> Verdict:
-    """If the order-(k, alpha) jet holds, every lower order must hold too."""
-    a = np.asarray(a, dtype=float)
-    jet, top = iterated_jet_fit(oracle, a, k, alpha, schedule, tol, grids,
-                                tangent=tangent)
-    if top.status != "holds":
-        return Verdict("precondition_failed", {"top": top})
-    tangent = (jet.plane.m, jet.plane)
-    orders = [(l, b) for l in range(1, k) for b in (0.0, 1.0)]
-    orders += [(k, b) for b in sorted({0.0, alpha / 2, alpha}) if b < alpha]
-    results = {}
-    for l, b in orders:
-        _, sub = iterated_jet_fit(oracle, a, l, b, schedule, tol, grids,
-                                  tangent=tangent)
-        results[f"({l}, {b})"] = sub.status
-    diag = {"orders": results, "top": top}
-    if any(s == "fails" for s in results.values()):
-        return Verdict("fails", diag)
-    if all(s == "holds" for s in results.values()):
-        return Verdict("holds", diag)
-    return Verdict("inconclusive", diag)
 
 
 # ---------------------------------------------------------------------------
@@ -641,28 +557,6 @@ def _jet_dict(jet: Jet) -> dict:
             for i, form in sorted(jet.forms.items())
         },
     }
-
-
-def jet_to_json(jet: Jet, verdict: Verdict | None = None,
-                diagnostics: dict | None = None) -> str:
-    obj = _jet_dict(jet)
-    if verdict is not None:
-        obj["verdict"] = verdict.status
-    if diagnostics is not None:
-        obj["diagnostics"] = jsonable(diagnostics)
-    return json.dumps(obj, sort_keys=True)
-
-
-def jet_from_json(text: str) -> Jet:
-    obj = json.loads(text)
-    plane = Plane.from_spanning(np.array(obj["plane_basis"]))
-    forms = {}
-    for key, entries in obj["forms"].items():
-        i = int(key)
-        coeffs = {tuple(beta): np.array(c, dtype=float) for beta, c in entries}
-        forms[i] = HomogeneousForm(i, plane, coeffs)
-    return Jet(np.array(obj["base"], dtype=float), plane, int(obj["k"]),
-               float(obj["alpha"]), forms, float(obj.get("lambda", 0.0)))
 
 
 def jsonable(obj):

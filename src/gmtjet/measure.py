@@ -232,13 +232,6 @@ def clip_segments(region: Region, p0, u, t0, t1) -> tuple[np.ndarray, np.ndarray
     return lo.T, hi.T
 
 
-def line_intervals(region: Region, p0: np.ndarray, u: np.ndarray,
-                   t0: float, t1: float) -> list:
-    """Sorted nonempty intervals of {t in [t0, t1] : p0 + t u in region}."""
-    lo, hi = clip_segments(region, p0, u, [t0], [t1])
-    return sorted((float(a), float(b)) for a, b in zip(lo[0], hi[0]) if b > a)
-
-
 # ---------------------------------------------------------------------------
 # oracle base
 
@@ -251,9 +244,6 @@ class MeasureOracle:
 
     def mass(self, region: Region) -> tuple[float, float]:
         raise NotImplementedError
-
-    def total_mass(self) -> float:
-        return self.mass(FullSpace())[0]
 
     def samples_in_ball(self, center: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """Localized empirical representation: points and weights in B(center, radius)."""
@@ -460,6 +450,8 @@ class CloudOracle(MeasureOracle):
         self.cloud = cloud
         self.m = m
         self.n = cloud.points.shape[1]
+        if not 1 <= m <= self.n:
+            raise ValueError(f"cloud in R^{self.n} cannot carry an m={m} measure")
 
     def mass(self, region: Region) -> tuple[float, float]:
         keep = region.contains_many(self.cloud.points)
@@ -475,10 +467,6 @@ class CloudOracle(MeasureOracle):
 
     def granularity(self):
         return float(self.cloud.weights.max())
-
-
-def cloud_oracle(cloud: WeightedCloud, m: int) -> CloudOracle:
-    return CloudOracle(cloud, m)
 
 
 # ---------------------------------------------------------------------------

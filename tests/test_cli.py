@@ -129,6 +129,36 @@ def test_analyze_non_finite_point(tmp_path, capsys, point):
     assert "non-finite" in capsys.readouterr().err
 
 
+CLOUD = "in.cloud"
+ANALYZE_CLOUD = ["analyze", "--input", CLOUD, "--point", "0,0", "--order", "1"]
+
+
+@pytest.mark.parametrize("argv, cloud", [
+    (["analyze", "--input", "fixture:line", "--point", "0,0", "--order", "0"], None),
+    (["analyze", "--input", "fixture:line", "--point", "0,0", "--order", "1",
+      "--alpha", "2"], None),
+    (["fixture", "emit", "graph_poly", "--param", "coeffs=1", "--out", CLOUD], None),
+    (ANALYZE_CLOUD, "#gmt-cloud n=2 m=1\n"),
+    (ANALYZE_CLOUD, "#gmt-cloud n=2 m=3\n0.5 0.0 0.0\n0.5 0.1 0.0\n"),
+], ids=["order_0", "alpha_2", "scalar_coeffs", "header_only_cloud", "m_above_n_cloud"])
+def test_bad_input_is_usage_error(tmp_path, monkeypatch, capsys, argv, cloud):
+    monkeypatch.chdir(tmp_path)
+    if cloud is not None:
+        (tmp_path / CLOUD).write_text(cloud)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_analyze_off_origin_parabola(tmp_path):
+    # y = x^2/2 at a point whose tangent coordinate is not 0
+    code, report = analyze(tmp_path, "--input", "fixture:graph_poly",
+                           "--point", "0.3,0.045", "--order", "3")
+    assert code == 0
+    assert report["verdicts"]["jet_fit"] == "holds"
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gmtjet.cli import main
 from gmtjet.density import (
     DYADIC_GAP_SCHEDULE,
     DYADIC_SCHEDULE,
-    DensityTrace,
     ScaleSchedule,
     blow_up_tangent,
     cone_condition_check,
@@ -160,21 +160,15 @@ def test_clip_raises_when_too_coarse():
 
 
 # ---------------------------------------------------------------------------
-# trace serialization
+# trace export
 
 
-def test_trace_json_round_trip(line):
+def test_trace_csv_shape(line, tmp_path):
     trace = upper_density(line.oracle, np.zeros(2), 1, line.schedule)
-    back = DensityTrace.from_json(trace.to_json())
-    assert back.verdict == trace.verdict
-    assert back.m == trace.m
-    assert np.allclose(back.point, trace.point)
-    assert back.entries == [tuple(map(float, e)) for e in trace.entries]
-
-
-def test_trace_csv_shape(line):
-    trace = upper_density(line.oracle, np.zeros(2), 1, line.schedule)
-    lines = trace.to_csv().strip().splitlines()
+    report, out = tmp_path / "report.json", tmp_path / "trace.csv"
+    report.write_text(json.dumps({"traces": [trace.to_dict()]}))
+    assert main(["plot-data", "--trace", str(report), "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
     assert lines[0] == "r,ratio,err"
     assert len(lines) == len(trace.entries) + 1
     r0 = float(lines[1].split(",")[0])

@@ -7,7 +7,7 @@ from scipy.special import zeta
 
 from gmtjet.density import density_ratio, lower_density, upper_density
 from gmtjet.fixtures import CATALOG, ground_truth_report, make_fixture, point_key
-from gmtjet.geometry import ClosedBall, FullSpace, jet_eval
+from gmtjet.geometry import ClosedBall, FullSpace
 from gmtjet.measure import UnionOracle
 
 
@@ -186,7 +186,7 @@ def test_graph_jet_matches_mapping():
     fx = make_fixture("graph_poly", coeffs=(0.5, 2.0))
     jet = fx.jets[point_key(np.zeros(2))]
     for x in (0.05, -0.08):
-        val = jet_eval(jet, np.array([x, 0.0]))
+        val = jet(np.array([x, 0.0]))
         y = 0.5 * x ** 2 / 2 + 2.0 * x ** 3 / 6
         assert abs(val[1] - y) <= 1e-12
         assert abs(val[0]) <= 1e-12
@@ -199,7 +199,7 @@ def test_circle_jet_matches_arc():
     for th in (0.05, -0.03):
         p = 2.0 * np.array([math.cos(th), math.sin(th)])
         chi = np.array([0.0, p[1]])
-        val = jet_eval(jet, chi)
+        val = jet(chi)
         # second-order contact: gap O(chi^3)
         assert abs((a + chi + val - p)[0]) <= abs(p[1]) ** 3
 

@@ -1,31 +1,21 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from gmtjet.geometry import (
     ClosedBall,
     Complement,
     Cone,
     Cylinder,
-    GraphNbhd,
     HomogeneousForm,
     Intersection,
     Jet,
-    OpenBall,
     Plane,
     apply_differential,
-    graph_distance,
-    jet_eval,
     jet_to_full_differential,
     multi_indices,
-    project,
-    region_contains,
-    shear_map,
-    vertical_vs_distance_bounds,
     vertical_excess,
 )
+from gmtjet.jetfit import _reduction_shear
 
 RNG = np.random.default_rng(20240817)
 
@@ -59,7 +49,8 @@ def test_projector_properties():
 
 def test_project_coordinate_plane():
     plane = Plane.axis(2, [0])
-    t, nrm = project(plane, np.array([3.0, 4.0]))
+    x = np.array([3.0, 4.0])
+    t, nrm = plane.tangential(x), plane.normal(x)
     assert np.allclose(t, [3.0, 0.0])
     assert np.allclose(nrm, [0.0, 4.0])
 
@@ -67,7 +58,7 @@ def test_project_coordinate_plane():
 def test_project_full_space():
     plane = Plane.axis(3, [0, 1, 2])
     x = np.array([1.0, -2.0, 0.5])
-    t, nrm = project(plane, x)
+    t, nrm = plane.tangential(x), plane.normal(x)
     assert np.allclose(t, x)
     assert np.allclose(nrm, 0.0)
 
@@ -78,7 +69,7 @@ def test_project_splits_exactly():
         m = int(RNG.integers(1, n))
         plane = random_plane(n, m, RNG)
         x = RNG.standard_normal(n)
-        t, nrm = project(plane, x)
+        t, nrm = plane.tangential(x), plane.normal(x)
         assert np.linalg.norm(t + nrm - x) <= 1e-12
         assert plane.contains(t)
         assert np.linalg.norm(plane.tangential(nrm)) <= 1e-10
@@ -87,7 +78,7 @@ def test_project_splits_exactly():
 def test_project_dimension_mismatch():
     plane = Plane.axis(3, [0])
     with pytest.raises(ValueError):
-        project(plane, np.array([1.0, 2.0]))
+        plane.tangential(np.array([1.0, 2.0]))
 
 
 def test_plane_equality_via_projector_distance():
@@ -102,58 +93,40 @@ def test_plane_equality_via_projector_distance():
 
 def test_cone_membership_closed_form():
     cone = Cone(np.zeros(2), np.array([1.0, 0.0]), 0.5)
-    assert region_contains(cone, np.array([1.0, 0.4]))
-    assert not region_contains(cone, np.array([1.0, 0.6]))
-    assert not region_contains(cone, np.array([-1.0, 0.0]))
+    assert cone.contains(np.array([1.0, 0.4]))
+    assert not cone.contains(np.array([1.0, 0.6]))
+    assert not cone.contains(np.array([-1.0, 0.0]))
 
 
 def test_cone_scale_invariance():
     cone = Cone(np.zeros(3), np.array([0.0, 1.0, 0.0]), 0.3)
     for _ in range(200):
         z = RNG.standard_normal(3)
-        inside = region_contains(cone, z)
+        inside = cone.contains(z)
         for t in (0.5, 2.0, 10.0):
-            assert region_contains(cone, t * z) == inside
+            assert cone.contains(t * z) == inside
 
 
 def test_cylinder_membership():
     cyl = Cylinder(Plane.axis(2, [0]), np.zeros(2), 1.0, 1.0)
-    assert region_contains(cyl, np.array([0.5, 0.5]))
-    assert not region_contains(cyl, np.array([1.5, 0.0]))
-
-
-def test_graph_nbhd_flat():
-    plane = Plane.axis(2, [0])
-    zero = Jet.zero(np.zeros(2), plane, 2)
-    region = GraphNbhd.from_jet(zero, kappa=1.0)
-    assert region_contains(region, np.array([0.5, 0.2]))   # 0.2 <= 0.25
-    assert not region_contains(region, np.array([0.5, 0.3]))
-
-
-def test_graph_nbhd_matches_direct_inequality():
-    jet = parabola_jet()
-    region = GraphNbhd.from_jet(jet, kappa=0.7)
-    for _ in range(300):
-        z = RNG.uniform(-1, 1, size=2)
-        horiz = abs(z[0])
-        dev = abs(z[1] - 0.5 * z[0] ** 2)
-        assert region_contains(region, z) == (dev <= 0.7 * horiz**2)
+    assert cyl.contains(np.array([0.5, 0.5]))
+    assert not cyl.contains(np.array([1.5, 0.0]))
 
 
 def test_region_combinators():
     ball = ClosedBall(np.zeros(2), 1.0)
     right = Cone(np.zeros(2), np.array([1.0, 0.0]), 0.99)
     combined = Intersection(ball, Complement(right))
-    assert region_contains(combined, np.array([-0.5, 0.0]))
-    assert not region_contains(combined, np.array([0.5, 0.0]))
-    assert not region_contains(combined, np.array([-1.5, 0.0]))
+    assert combined.contains(np.array([-0.5, 0.0]))
+    assert not combined.contains(np.array([0.5, 0.0]))
+    assert not combined.contains(np.array([-1.5, 0.0]))
 
 
 def test_vertical_excess():
     plane = Plane.axis(2, [0])
     reg = vertical_excess(plane, np.zeros(2), 0.1)
-    assert region_contains(reg, np.array([5.0, 0.2]))
-    assert not region_contains(reg, np.array([5.0, 0.05]))
+    assert reg.contains(np.array([5.0, 0.2]))
+    assert not reg.contains(np.array([5.0, 0.05]))
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +141,14 @@ def test_zero_jet_evaluates_to_zero():
 
 def test_parabola_jet_eval():
     jet = parabola_jet()
-    val = jet_eval(jet, np.array([0.4, 0.0]))
+    val = jet(np.array([0.4, 0.0]))
     assert np.allclose(val, [0.0, 0.08])
 
 
 def test_jet_eval_rejects_off_plane_points():
     jet = parabola_jet()
     with pytest.raises(ValueError):
-        jet_eval(jet, np.array([0.4, 0.3]))
+        jet(np.array([0.4, 0.3]))
 
 
 def test_degree3_homogeneity():
@@ -183,7 +156,7 @@ def test_degree3_homogeneity():
     form = HomogeneousForm(3, plane, {(3,): np.array([0.0, 1 / 6])})
     jet = Jet(np.zeros(2), plane, 3, 0.0, {3: form})
     chi = np.array([0.3, 0.0])
-    assert np.allclose(jet_eval(jet, 2 * chi), 8 * jet_eval(jet, chi))
+    assert np.allclose(jet(2 * chi), 8 * jet(chi))
 
 
 def test_full_differential_parabola():
@@ -226,90 +199,34 @@ def test_differential_out_of_range():
 # shear maps
 
 
-def test_shear_identity_when_forms_agree():
-    plane = Plane.axis(2, [0])
-    q = parabola_jet()
-    top = HomogeneousForm(2, plane, {(2,): np.array([0.0, 0.5])})
-    f = shear_map(plane, q, top)
-    for _ in range(50):
-        x = RNG.standard_normal(2)
-        assert np.allclose(f(x), x, atol=1e-14)
-
-
 def test_shear_flattens_parabola():
     plane = Plane.axis(2, [0])
-    f = shear_map(plane, parabola_jet(), None)
+    f = _reduction_shear(plane, np.zeros(2), parabola_jet().eval_coords)
     x = np.array([0.4, 0.08])      # on the parabola
-    assert np.allclose(f(x), [0.4, 0.0], atol=1e-14)
+    assert np.allclose(f.apply(x), [0.4, 0.0], atol=1e-14)
     y = np.array([1.0, 2.0])
-    assert np.allclose(f(y), [1.0, 1.5])
+    assert np.allclose(f.apply(y), [1.0, 1.5])
 
 
 def test_shear_round_trip():
     plane = Plane.from_spanning(RNG.standard_normal((1, 3)))
     coeffs2 = {(2,): plane.normal(RNG.standard_normal(3))}
-    lower = Jet(np.zeros(3), plane, 2, 0.0, {2: HomogeneousForm(2, plane, coeffs2)})
-    top = HomogeneousForm(2, plane, {(2,): plane.normal(RNG.standard_normal(3))})
-    f = shear_map(plane, lower, top)
+    jet = Jet(np.zeros(3), plane, 2, 0.0, {2: HomogeneousForm(2, plane, coeffs2)})
+    f = _reduction_shear(plane, RNG.standard_normal(3), jet.eval_coords)
     X = RNG.standard_normal((1000, 3))
     err = np.abs(f.invert(f.apply(X)) - X).max()
     assert err <= 1e-12
 
 
 def test_shear_maps_graph_to_graph():
+    # off the origin, T(a) != 0: the graph a + chi + Q(chi) over T at a goes
+    # to the flat a + chi, so T(a) is subtracted exactly once
     plane = Plane.axis(2, [0])
     lower = parabola_jet()
-    top = HomogeneousForm(2, plane, {(2,): np.array([0.0, -0.3])})
-    f = shear_map(plane, lower, top)
+    a = np.array([0.3, 0.7])
+    f = _reduction_shear(plane, a, lower.eval_coords)
     chi = np.linspace(-1, 1, 41)[:, None]
-    on_q = lower.graph_points(chi)
+    on_q = a + chi @ plane.basis + lower.eval_coords(chi)
     mapped = f.apply(on_q)
-    expected = chi @ plane.basis + top.eval_coords(chi)
+    expected = a + chi @ plane.basis
     assert np.abs(mapped - expected).max() <= 1e-12
-
-
-# ---------------------------------------------------------------------------
-# distance vs vertical distance
-
-
-def test_flat_graph_distance():
-    plane = Plane.axis(2, [0])
-
-    def flat(chi):
-        return np.zeros((np.atleast_2d(chi).shape[0], 2))
-
-    delta, vertical, factor, ok = vertical_vs_distance_bounds(
-        plane, flat, 0.0, np.array([0.3, 0.1]), 1.0)
-    assert ok
-    assert abs(delta - 0.1) <= 1e-9
-    assert abs(vertical - 0.1) <= 1e-12
-    assert delta <= vertical <= factor * delta + 1e-9
-
-
-def test_parabola_graph_distance():
-    plane = Plane.axis(2, [0])
-    jet = parabola_jet()
-    delta, vertical, factor, ok = vertical_vs_distance_bounds(
-        plane, jet.eval_coords, 1.0, np.array([0.0, 0.2]), 1.0)
-    assert ok
-    assert abs(vertical - 0.2) <= 1e-12
-    assert 0.2 / factor - 1e-9 <= delta <= 0.2 + 1e-9
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.floats(-0.8, 0.8), st.floats(-0.8, 0.8), st.floats(-1.0, 1.0))
-def test_sandwich_never_violated(wx, wy, c):
-    plane = Plane.axis(2, [0])
-
-    def graph(chi):
-        chi = np.atleast_2d(chi)
-        out = np.zeros((chi.shape[0], 2))
-        out[:, 1] = c * chi[:, 0] ** 2 / 2
-        return out
-
-    w = np.array([wx, wy])
-    r = max(1.0, float(np.linalg.norm(w)))
-    lip = abs(c) * 2 * r    # Lip of c x^2/2 on B(0, 2r)
-    delta, vertical, factor, ok = vertical_vs_distance_bounds(plane, graph, lip, w, r)
-    assert delta <= vertical + 1e-9
-    assert vertical <= factor * delta + 1e-9

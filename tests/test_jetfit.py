@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -8,17 +7,15 @@ from hypothesis import given, settings, strategies as st
 from gmtjet.density import ScaleSchedule
 from gmtjet.fixtures import make_fixture
 from gmtjet.geometry import HomogeneousForm, Jet, Plane
+from gmtjet.config import DEFAULT_GRIDS, DEFAULT_TOL
 from gmtjet.jetfit import (
+    _residual_condition,
     estimate_tangent_plane,
     fit_homogeneous_form,
     iterated_jet_fit,
-    jet_from_json,
-    jet_to_json,
     jet_uniqueness_crosscheck,
-    order_monotonicity_check,
     refine_tangent_plane,
     shear_invariance_check,
-    verify_graph_residual,
 )
 from gmtjet.measure import (
     ChartOracle,
@@ -175,6 +172,22 @@ def test_sphere_second_order():
     assert norms[(1, 1)] <= 1e-2
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_off_origin_parabola_jet(k):
+    # y = x^2/2 at a = (0.3, 0.045), where T(a) != 0: the residual regions
+    # must evaluate the fitted forms at T(x - a), not at T(x - a) - T(a)
+    fx = make_fixture("graph_poly")
+    x0 = 0.3
+    a = np.array([x0, x0**2 / 2])
+    jet, verdict = iterated_jet_fit(fx.oracle, a, k, 0.0, fx.schedule)
+    assert verdict.status == "holds", verdict.diagnostics.get("stage")
+    kappa = (1 + x0**2) ** -1.5
+    nu = np.array([-x0, 1.0]) / math.sqrt(1 + x0**2)
+    # chi^2 is even in chi, so the degree-2 coefficient does not depend on
+    # the sign of the fitted plane's basis
+    assert np.abs(jet.forms[2].coefficients[(2,)] - kappa / 2 * nu).max() <= 1e-4
+
+
 def test_helix_curve_third_order():
     spec = ChartSpec(domain=[(-1.2, 1.2)],
                      mapping=lambda p: np.stack(
@@ -244,9 +257,10 @@ def test_uniqueness_crosscheck(cubic, cubic_jet):
 
 def test_graph_residual_verification(cubic, cubic_jet):
     jet, _ = cubic_jet
-    verdict = verify_graph_residual(cubic.oracle, np.zeros(2), jet.plane, jet,
-                                    cubic.schedule)
-    assert verdict.status == "holds"
+    status, _ = _residual_condition(cubic.oracle, np.zeros(2), jet.plane,
+                                    jet.eval_coords, 3.0, cubic.schedule,
+                                    DEFAULT_GRIDS, DEFAULT_TOL)
+    assert status == "holds"
 
 
 def test_graph_residual_rejects_wrong_jet(cubic, cubic_jet):
@@ -254,9 +268,10 @@ def test_graph_residual_rejects_wrong_jet(cubic, cubic_jet):
     wrong = Jet(jet.base, jet.plane, 2, 0.0,
                 {2: HomogeneousForm(2, jet.plane,
                                     {(2,): np.array([0.0, 0.9])})})
-    verdict = verify_graph_residual(cubic.oracle, np.zeros(2), jet.plane,
-                                    wrong, cubic.schedule)
-    assert verdict.status == "fails"
+    status, _ = _residual_condition(cubic.oracle, np.zeros(2), jet.plane,
+                                    wrong.eval_coords, 2.0, cubic.schedule,
+                                    DEFAULT_GRIDS, DEFAULT_TOL)
+    assert status == "fails"
 
 
 def test_shear_invariance(cubic, cubic_jet):
@@ -266,18 +281,14 @@ def test_shear_invariance(cubic, cubic_jet):
     assert verdict.status == "holds"
 
 
-def test_order_monotonicity(cubic):
-    verdict = order_monotonicity_check(cubic.oracle, np.zeros(2), 3, 0.0,
-                                       cubic.schedule)
-    assert verdict.status == "holds"
-    assert all(s == "holds" for s in verdict.diagnostics["orders"].values())
-
-
-def test_order_monotonicity_precondition():
-    comb = make_fixture("comb")
-    a = comb.marked_points[0]
-    verdict = order_monotonicity_check(comb.oracle, a, 2, 0.0, comb.schedule)
-    assert verdict.status == "precondition_failed"
+def test_order_monotonicity(cubic, cubic_jet):
+    # the order-(3, 0) jet holds, so every lower order must hold too
+    jet, top = cubic_jet
+    assert top.status == "holds"
+    for k, alpha in ((1, 0.0), (1, 1.0), (2, 0.0), (2, 1.0)):
+        _, sub = iterated_jet_fit(cubic.oracle, np.zeros(2), k, alpha,
+                                  cubic.schedule, tangent=(1, jet.plane))
+        assert sub.status == "holds", (k, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -307,36 +318,3 @@ def test_fit_recovers_polynomial_cloud(c2, c3):
                                 [0.2, 0.18, 0.15])
     got = form.coefficients[(2,)][1]
     assert abs(got - c2) <= 1e-7
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_jet_json_round_trip(cubic_jet):
-    jet, verdict = cubic_jet
-    back = jet_from_json(jet_to_json(jet, verdict))
-    assert back.degree == jet.degree
-    assert back.alpha == jet.alpha
-    assert np.allclose(back.base, jet.base)
-    assert back.max_coefficient_gap(jet) <= 1e-15
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-       k=st.integers(min_value=2, max_value=4))
-def test_jet_json_round_trip_random(seed, k):
-    rng = np.random.default_rng(seed)
-    plane = Plane.axis(3, [0, 1])
-    forms = {}
-    for i in range(2, k + 1):
-        coeffs = {}
-        for b1 in range(i + 1):
-            coeffs[(b1, i - b1)] = np.array([0.0, 0.0, rng.normal()])
-        forms[i] = HomogeneousForm(i, plane, coeffs)
-    jet = Jet(rng.normal(size=3), plane, k, 0.5, forms, 2.0)
-    text = jet_to_json(jet)
-    json.loads(text)
-    back = jet_from_json(text)
-    assert back.hoelder_constant == 2.0
-    assert back.max_coefficient_gap(jet) <= 1e-15
