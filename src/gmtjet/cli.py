@@ -95,7 +95,11 @@ def _parse_params(pairs: list[str]) -> dict:
 
 
 def _load_input(spec: str):
-    """Returns (oracle, default_schedule, fixture_or_none)."""
+    """Returns (oracle, default_schedule, fixture_or_none).
+
+    A cloud's default schedule is ScaleSchedule() with q raised, if need
+    be, until its granularity leaves a trace long enough for a verdict.
+    """
     if spec.startswith("fixture:"):
         name = spec.split(":", 1)[1]
         try:
@@ -105,9 +109,10 @@ def _load_input(spec: str):
         return fx.oracle, fx.schedule, fx
     try:
         cloud, m = read_cloud(spec)
-        return CloudOracle(cloud, m=m), ScaleSchedule(), None
+        oracle = CloudOracle(cloud, m=m)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read cloud {spec!r}: {exc}")
+    return oracle, ScaleSchedule().decisive_for(oracle), None
 
 
 def _verdict_exit(status: str) -> int:
@@ -169,12 +174,14 @@ def run_analysis(oracle, a, k, alpha, schedule) -> tuple[dict, int]:
         return report, EXIT_INCONCLUSIVE
     timings["jet_fit"] = time.perf_counter() - t0
 
-    tangent_failed = verdict.diagnostics.get("stage") == "tangent_plane"
+    # without a validated plane the tangent stage decided the jet fit, and
+    # its status and reason are the jet fit's
+    tangent_decided = verdict.diagnostics.get("stage") == "tangent_plane"
     verdicts = {
-        "tangent_plane": "fails" if tangent_failed else "holds",
+        "tangent_plane": verdict.status if tangent_decided else "holds",
         "jet_fit": verdict.status,
     }
-    if k >= 2 and not tangent_failed:
+    if k >= 2 and not tangent_decided:
         try:
             approximate_sff(jet)
             verdicts["sff"] = "holds"
@@ -193,8 +200,8 @@ def run_analysis(oracle, a, k, alpha, schedule) -> tuple[dict, int]:
         "version": __version__,
         "point": [float(c) for c in a],
         "schedule": schedule.to_dict(),
-        "tangent": None if tangent_failed else
-        {"m": jet.plane.m, "basis": jet.plane.basis.tolist()},
+        "tangent": {"reason": verdict.diagnostics["tangent"].get("reason")}
+        if tangent_decided else {"m": jet.plane.m, "basis": jet.plane.basis.tolist()},
         "jet": jsonable(jet),
         "traces": [jsonable(t) for t in traces],
         "verdicts": verdicts,

@@ -23,9 +23,10 @@ from .geometry import (
     Plane,
     PlaneCone,
     Region,
+    split_squares,
     vertical_excess,
 )
-from .measure import MeasureOracle, unit_ball_volume
+from .measure import BALL, Family, MeasureOracle, SharedField, unit_ball_volume
 
 
 @dataclass(frozen=True)
@@ -58,11 +59,34 @@ class ScaleSchedule:
             return self
         if factor is None:
             factor = tol.granularity_factor
-        keep = self.radii ** oracle.m >= factor * g
-        J = int(keep.sum())
+        J = self._reliable(oracle.m, factor * g)
         if J < 8:
             raise ValueError("schedule has fewer than 8 reliable scales for this oracle")
         return ScaleSchedule(self.r0, self.q, J)
+
+    def _reliable(self, m: int, floor: float) -> int:
+        """How many radii have r^m >= floor."""
+        return int((self.radii ** m >= floor).sum())
+
+    def decisive_for(self, oracle: MeasureOracle,
+                     tol: Tolerances = DEFAULT_TOL) -> "ScaleSchedule":
+        """This schedule, or the same r0 and J with q raised just enough
+        that `clip_for` keeps the 3w - 1 radii `decide_verdict` needs.
+
+        A coarse cloud can leave the default schedule one radius short, and
+        then every trace is inconclusive for its length alone.  Returns self
+        when it already keeps enough radii, or when no q < 1 would.
+        """
+        need = 3 * tol.trailing_window - 1
+        g = oracle.granularity()
+        floor = tol.granularity_factor * g
+        if g <= 0 or need > self.J or self._reliable(oracle.m, floor) >= need:
+            return self
+        # the smallest q with r0 q^(need - 1) >= floor^(1/m), raised by far
+        # more than the rounding of the radii
+        q = (1 + 1e-12) * (floor ** (1 / oracle.m) / self.r0) ** (1 / (need - 1))
+        wider = ScaleSchedule(self.r0, q, self.J) if q < 1 else self
+        return wider if wider._reliable(oracle.m, floor) >= need else self
 
     def to_dict(self) -> dict:
         return {"r0": self.r0, "q": self.q, "J": self.J}
@@ -158,13 +182,17 @@ def density_ratio(oracle: MeasureOracle, a: np.ndarray, m: int, r: float) -> tup
 
 
 def _trace(oracle: MeasureOracle, a, m: int, schedule: ScaleSchedule, window_fn,
-           tol: Tolerances = DEFAULT_TOL,
-           ratio_fn: Callable[[float], tuple[float, float]] | None = None,
+           tol: Tolerances = DEFAULT_TOL, family: Family = BALL,
            clip_factor: float | None = None) -> DensityTrace:
+    """Ratios mass(B(a, r) ^ family.region(r)) / alpha(m) r^m over the
+    clipped schedule, from one oracle trace, with their verdict."""
     a = np.asarray(a, dtype=float)
     schedule = schedule.clip_for(oracle, tol, factor=clip_factor)
-    fn = ratio_fn or (lambda r: density_ratio(oracle, a, m, r))
-    entries = [(float(r),) + fn(float(r)) for r in schedule.radii]
+    radii = [float(r) for r in schedule.radii]
+    entries = []
+    for r, (val, err) in zip(radii, oracle.trace(a, radii, family)):
+        norm = unit_ball_volume(m) * r ** m
+        entries.append((r, val / norm, err / norm))
     ratios = np.array([e[1] for e in entries])
     errs = np.array([e[2] for e in entries])
     verdict, est = decide_verdict(ratios, errs, window_fn, tol)
@@ -357,24 +385,46 @@ def settle_vanishing(oracle: MeasureOracle, trace: DensityTrace, m: int,
 
 
 def vanishing_density_trace(oracle: MeasureOracle, a, m: int,
-                            schedule: ScaleSchedule,
-                            region_fn: Callable[[float], Region],
+                            schedule: ScaleSchedule, family: Family,
                             tol: Tolerances = DEFAULT_TOL) -> tuple[str, DensityTrace]:
-    """Upper-density trace of mass(B(a,r) ^ region_fn(r)), settled."""
-    a = np.asarray(a, dtype=float)
-
-    def ratio_fn(r):
-        val, err = oracle.mass(Intersection(ClosedBall(a, r), region_fn(r)))
-        norm = unit_ball_volume(m) * r ** m
-        return val / norm, err / norm
-
-    trace = _trace(oracle, a, m, schedule, np.max, tol, ratio_fn=ratio_fn,
+    """Upper-density trace of mass(B(a,r) ^ family.region(r)), settled."""
+    trace = _trace(oracle, a, m, schedule, np.max, tol, family=family,
                    clip_factor=VANISHING_CLIP)
     return settle_vanishing(oracle, trace, m, tol), trace
 
 
 # ---------------------------------------------------------------------------
 # cone condition equivalence
+
+
+class ConeOutside(Family):
+    """B(a, r) minus the plane cone X(a, T, eps), free of scale.
+
+    The field is `split_squares` of T at a, shared with VerticalExcess."""
+
+    def __init__(self, split: SharedField, T: Plane, a: np.ndarray, eps: float):
+        self.field, self.T, self.a, self.eps = split, T, a, eps
+
+    def region(self, r):
+        return Complement(PlaneCone(self.T, self.a, self.eps))
+
+    def keep(self, values, r):
+        tang2, norm2 = values
+        return ~(norm2 <= self.eps**2 * tang2)
+
+
+class VerticalExcess(Family):
+    """B(a, r) ^ {z : |T_perp_nat(z - a)| > eps r}, as `vertical_excess`."""
+
+    def __init__(self, split: SharedField, T: Plane, a: np.ndarray, eps: float):
+        self.field, self.T, self.a, self.eps = split, T, a, eps
+
+    def region(self, r):
+        return vertical_excess(self.T, self.a, self.eps * r)
+
+    def keep(self, values, r):
+        t = self.eps * r
+        return ~(values[1] < t**2) if t > 0 else None
 
 
 def cone_condition_check(oracle: MeasureOracle, a, T: Plane,
@@ -386,23 +436,18 @@ def cone_condition_check(oracle: MeasureOracle, a, T: Plane,
     (ii): density of the set outside every cone X(a, T, eps) vanishes.
     (iii): the fraction of B(a,r) lying at vertical distance > eps r from
     a + T vanishes as r -> 0.
+    Both read one tangential/normal split of the points about a.
     """
     a = np.asarray(a, dtype=float)
     m = T.m
+    split = SharedField(lambda X: np.stack(split_squares(T, a, X)))
 
     ii_eps, iii_eps, traces_ii, traces_iii = {}, {}, {}, {}
     for eps in eps_grid:
-        outside = oracle.restrict(Complement(PlaneCone(T, a, eps)))
-        trace = upper_density(outside, a, m, schedule, tol,
-                              clip_factor=VANISHING_CLIP)
-        traces_ii[eps] = trace
-        ii_eps[eps] = settle_vanishing(oracle, trace, m, tol)
-
-        status, trace = vanishing_density_trace(
-            oracle, a, m, schedule,
-            lambda r, eps=eps: vertical_excess(T, a, eps * r), tol)
-        traces_iii[eps] = trace
-        iii_eps[eps] = status
+        ii_eps[eps], traces_ii[eps] = vanishing_density_trace(
+            oracle, a, m, schedule, ConeOutside(split, T, a, eps), tol)
+        iii_eps[eps], traces_iii[eps] = vanishing_density_trace(
+            oracle, a, m, schedule, VerticalExcess(split, T, a, eps), tol)
     vii = Verdict(combine_statuses(ii_eps.values()),
                   {"per_eps": ii_eps, "traces": traces_ii})
     viii = Verdict(combine_statuses(iii_eps.values()),

@@ -26,6 +26,7 @@ from .geometry import (
     Region,
 )
 from .measure import (
+    ChartOracle,
     ChartSpec,
     CloudOracle,
     IntervalOracle,
@@ -33,7 +34,6 @@ from .measure import (
     SegmentPiece,
     UnionOracle,
     WeightedCloud,
-    chart_oracle,
     clip_segments,
 )
 
@@ -217,7 +217,7 @@ def _graph_distance_fn(yfun, half):
 
 def _graph_fixture(name, c2, c3, half=1.2, resolution=32768, params=None):
     chart, mapping, jacobian, normal, yfun = _graph_chart(c2, c3, half, resolution)
-    oracle = chart_oracle([chart], m=1)
+    oracle = ChartOracle([chart], m=1)
     plane = Plane.axis(2, [0])
     a = np.zeros(2)
     forms = {2: HomogeneousForm(2, plane, {(2,): np.array([0.0, c2 / 2])}),
@@ -274,7 +274,7 @@ def _make_circle(params):
 
     chart = ChartSpec(domain=[(0.0, 2 * math.pi)], mapping=mapping,
                       jacobian=jacobian, quad_resolution=resolution)
-    oracle = chart_oracle([chart], m=1)
+    oracle = ChartOracle([chart], m=1)
     a = np.array([R, 0.0])
     plane = Plane.axis(2, [1])
     jet = Jet(a, plane, 2, 0.0,
@@ -323,7 +323,7 @@ def _make_sphere(params):
 
     chart = ChartSpec(domain=[(0.0, math.pi), (0.0, 2 * math.pi)],
                       mapping=mapping, jacobian=jacobian, quad_resolution=resolution)
-    oracle = chart_oracle([chart], m=2)
+    oracle = ChartOracle([chart], m=2)
     a = np.array([0.0, 0.0, R])
     plane = Plane.axis(3, [0, 1])
     coeff = np.array([0.0, 0.0, -1 / (2 * R)])
@@ -390,7 +390,7 @@ def _make_torus(params):
 
     chart = ChartSpec(domain=[(0.0, 2 * math.pi), (0.0, 2 * math.pi)],
                       mapping=mapping, jacobian=jacobian, quad_resolution=resolution)
-    oracle = chart_oracle([chart], m=2)
+    oracle = ChartOracle([chart], m=2)
     a = np.array([R + r, 0.0, 0.0])
     plane = Plane.axis(3, [1, 2])   # tangent directions: theta (e2) and phi (e3)
     c_th = np.array([-1 / (2 * (R + r)), 0.0, 0.0])
@@ -606,24 +606,32 @@ def _make_noisy_parabola(params):
     return base
 
 
+# name -> (builder, parameter help, the parameter keys the builder reads)
 CATALOG = {
-    "line": (_make_line, "half-length of the segment (default 2)"),
-    "graph_poly": (_make_graph_poly, "coeffs=(c2, c3) for y = c2 x^2/2 + c3 x^3/6"),
-    "circle": (_make_circle, "R > 0"),
-    "sphere": (_make_sphere, "R > 0"),
-    "torus": (_make_torus, "R > r > 0"),
-    "dyadic_annuli": (_make_dyadic_annuli, "no params"),
-    "a_alpha_gamma": (_make_a_alpha_gamma, "gamma > 1, alpha in (1/gamma, 1/(gamma-1))"),
-    "comb": (_make_comb, "no params"),
-    "parabola_touch": (_make_parabola_touch, "no params"),
-    "noisy_parabola": (_make_noisy_parabola, "k >= 1 (noise shells of relative mass r^(k+1))"),
+    "line": (_make_line, "half-length of the segment (default 2)", ("half",)),
+    "graph_poly": (_make_graph_poly, "coeffs=(c2, c3) for y = c2 x^2/2 + c3 x^3/6",
+                   ("coeffs",)),
+    "circle": (_make_circle, "R > 0", ("R", "resolution")),
+    "sphere": (_make_sphere, "R > 0", ("R", "resolution")),
+    "torus": (_make_torus, "R > r > 0", ("R", "r", "resolution")),
+    "dyadic_annuli": (_make_dyadic_annuli, "depth (default 40)", ("depth",)),
+    "a_alpha_gamma": (_make_a_alpha_gamma, "gamma > 1, alpha in (1/gamma, 1/(gamma-1))",
+                      ("gamma", "alpha", "n_max")),
+    "comb": (_make_comb, "n_teeth (default 10^5)", ("n_teeth",)),
+    "parabola_touch": (_make_parabola_touch, "no params", ()),
+    "noisy_parabola": (_make_noisy_parabola, "k >= 1 (noise shells of relative mass r^(k+1))",
+                       ("k",)),
 }
 
 
 def make_fixture(name: str, **params) -> SetFixture:
     if name not in CATALOG:
         raise KeyError(f"unknown fixture {name!r}; known: {', '.join(sorted(CATALOG))}")
-    builder, _ = CATALOG[name]
+    builder, _, keys = CATALOG[name]
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise ValueError(f"fixture {name!r} has no parameter {unknown[0]!r}; "
+                         f"it takes {', '.join(keys) or 'none'}")
     return builder(params)
 
 

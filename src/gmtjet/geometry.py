@@ -394,6 +394,14 @@ class ClosedBall(Region):
         return self.center, self.radius
 
 
+def split_squares(plane: Plane, center: np.ndarray, X: np.ndarray):
+    """|T_nat(x - center)|^2 and |T_perp_nat(x - center)|^2 for each row x."""
+    d = np.atleast_2d(X) - center
+    tang = d @ plane.projector
+    norm = d - tang
+    return np.einsum("ij,ij->i", tang, tang), np.einsum("ij,ij->i", norm, norm)
+
+
 @dataclass(frozen=True)
 class Cylinder(Region):
     """C(T, a, s, t): horizontal radius s, vertical radius t; either may be inf."""
@@ -409,14 +417,12 @@ class Cylinder(Region):
             raise ValueError("cylinder radii must be positive")
 
     def contains_many(self, X):
-        d = np.atleast_2d(X) - self.center
-        tang = d @ self.plane.projector
-        norm = d - tang
-        ok = np.ones(d.shape[0], dtype=bool)
+        tang2, norm2 = split_squares(self.plane, self.center, X)
+        ok = np.ones(tang2.shape[0], dtype=bool)
         if np.isfinite(self.s):
-            ok &= np.einsum("ij,ij->i", tang, tang) < self.s**2
+            ok &= tang2 < self.s**2
         if np.isfinite(self.t):
-            ok &= np.einsum("ij,ij->i", norm, norm) < self.t**2
+            ok &= norm2 < self.t**2
         return ok
 
 
@@ -505,11 +511,8 @@ class PlaneCone(Region):
             raise ValueError("aperture must be positive")
 
     def contains_many(self, X):
-        d = np.atleast_2d(X) - self.apex
-        tang = d @ self.plane.projector
-        norm = d - tang
-        return (np.einsum("ij,ij->i", norm, norm)
-                <= self.eps**2 * np.einsum("ij,ij->i", tang, tang))
+        tang2, norm2 = split_squares(self.plane, self.apex, X)
+        return norm2 <= self.eps**2 * tang2
 
 
 def vertical_excess(plane: Plane, center: np.ndarray, threshold: float) -> Region:

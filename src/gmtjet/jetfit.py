@@ -36,7 +36,7 @@ from .geometry import (
     monomials,
     multi_indices,
 )
-from .measure import MappedOracle, MeasureOracle, unit_ball_volume
+from .measure import Family, MappedOracle, MeasureOracle, SharedField, unit_ball_volume
 
 
 # ---------------------------------------------------------------------------
@@ -266,21 +266,39 @@ def _ridge_solve(A, B, w, ridge):
     return sol / norms[:, None]
 
 
-def _residual_region(T: Plane, a: np.ndarray, eval_fn, thresh: float) -> FnPositive:
-    """{x : |vertical part of (x - a) minus the graph value| > thresh}.
+def _vertical_residual(T: Plane, a: np.ndarray, eval_fn):
+    """x -> |vertical part of (x - a) minus the graph value|, row by row.
 
     `eval_fn` is the fitted polynomial in tangent coordinates relative to a:
     it gets T(x - a), (N, m), and returns normal vectors (N, n), so a form's
     or a jet's `eval_coords` is passed as is.
     """
 
-    def g(X):
-        X = np.atleast_2d(X)
-        d = X - a
+    def residual(X):
+        d = np.atleast_2d(X) - a
         vert = d @ T.normal_projector - eval_fn(T.tangent_coords(d))
-        return np.linalg.norm(vert, axis=1) - thresh
+        return np.linalg.norm(vert, axis=1)
 
-    return FnPositive(g)
+    return residual
+
+
+class _ResidualExcess(Family):
+    """B(a, r) ^ {x : vertical residual of x > scale * r^exponent}.
+
+    The field is one condition's `_vertical_residual`, shared by its
+    apertures or lambdas; `region(r)` is the FnPositive that oracles without
+    a trace engine measure.
+    """
+
+    def __init__(self, residual: SharedField, scale: float, exponent: float):
+        self.field, self.scale, self.exponent = residual, scale, exponent
+
+    def region(self, r):
+        thresh = self.scale * r**self.exponent
+        return FnPositive(lambda X: self.field.fn(X) - thresh)
+
+    def keep(self, values, r):
+        return values - self.scale * r**self.exponent > 0
 
 
 def shear_displacement_bound(T: Plane, a, forms):
@@ -353,14 +371,11 @@ def _residual_condition(cur: MeasureOracle, a: np.ndarray, T: Plane,
                         eval_fn, exponent: float, schedule: ScaleSchedule,
                         grids: Grids, tol: Tolerances) -> tuple[str, dict]:
     """Vanishing density of {vertical residual > eps r^exponent} per aperture."""
+    residual = SharedField(_vertical_residual(T, a, eval_fn))
     per_eps, traces = {}, {}
     for eps in grids.eps_grid:
-        status, trace = vanishing_density_trace(
-            cur, a, T.m, schedule,
-            lambda r, eps=eps: _residual_region(T, a, eval_fn, eps * r**exponent),
-            tol)
-        per_eps[eps] = status
-        traces[eps] = trace
+        per_eps[eps], traces[eps] = vanishing_density_trace(
+            cur, a, T.m, schedule, _ResidualExcess(residual, eps, exponent), tol)
     return combine_statuses(per_eps.values()), {"per_eps": per_eps, "traces": traces}
 
 
@@ -368,12 +383,12 @@ def _hoelder_search(cur: MeasureOracle, a: np.ndarray, T: Plane, eval_fn,
                     exponent: float, schedule: ScaleSchedule, grids: Grids,
                     tol: Tolerances):
     """Smallest dyadic lambda whose residual set has vanishing density."""
+    residual = SharedField(_vertical_residual(T, a, eval_fn))
     last = ("inconclusive", None)
     for j in sorted(grids.lambda_exponents):
         lam = 2.0**j
         status, trace = vanishing_density_trace(
-            cur, a, T.m, schedule,
-            lambda r: _residual_region(T, a, eval_fn, lam * r**exponent), tol)
+            cur, a, T.m, schedule, _ResidualExcess(residual, lam, exponent), tol)
         if status == "holds":
             return lam, "holds", trace
         last = (status, trace)

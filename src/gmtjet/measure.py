@@ -12,7 +12,10 @@ Three backends:
   and plane cones, a bisection scan for any other region).
 
 Every oracle answers ``mass(region) -> (value, error_estimate)`` and can hand
-out a localized sample representation for the estimators.
+out a localized sample representation for the estimators.  A density trace
+asks ``trace(center, radii, family)``: the masses of B(center, r) ^
+family.region(r), bit for bit those of ``mass``, where chart grids and clouds
+evaluate the family's per-point field once instead of once per radius.
 """
 from __future__ import annotations
 
@@ -233,7 +236,127 @@ def clip_segments(region: Region, p0, u, t0, t1) -> tuple[np.ndarray, np.ndarray
 
 
 # ---------------------------------------------------------------------------
+# scale families
+#
+# A density trace measures B(center, r) ^ region(r) for up to 64 nested radii
+# at one center.  Where region(r) is a threshold on a per-point field, an
+# oracle can evaluate the field once, on the rows of the largest ball, and
+# answer each radius with a threshold and a sum over its own rows.
+
+
+class SharedField:
+    """A function of (N, n) points, row by row, that keeps its last values.
+
+    The traces of one condition (several apertures or lambdas) evaluate one
+    field on the same rows, so each evaluation is kept with a copy of its
+    rows and handed out again for equal rows.  `fn` must treat every row
+    alone; its values are read, never written.
+    """
+
+    SLOTS = 2   # a chart trace reads a fine and a coarse grid
+
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
+        self.fn = fn
+        self._kept = []   # [(rows, values)], most recent first
+
+    def __call__(self, X: np.ndarray):
+        for rows, values in self._kept:
+            if rows.shape == X.shape and np.array_equal(rows, X):
+                return values
+        values = self.fn(X)
+        self._kept = [(X.copy(), values)] + self._kept[:self.SLOTS - 1]
+        return values
+
+
+class Family:
+    """The regions one density trace measures: B(center, r) ^ region(r).
+
+    This class is the plain ball.  A subclass names a `region(r)` whose
+    membership is a threshold on a per-point `field` (a SharedField):
+    `keep(values, r)` must give region(r).contains_many on the rows the
+    values came from, bit for bit, or None for every row.  `query`,
+    `evaluate` and `inside` are what oracles use; the wrappers of
+    RestrictedOracle and MappedOracle replace them.
+    """
+
+    field: SharedField | None = None
+
+    def region(self, r: float) -> Region | None:
+        return None
+
+    def keep(self, values: np.ndarray, r: float) -> np.ndarray | None:
+        return None
+
+    def query(self, center: np.ndarray, r: float) -> Region:
+        """The region `mass` is asked about at radius r."""
+        region = self.region(r)
+        ball = ClosedBall(center, r)
+        return ball if region is None else Intersection(ball, region)
+
+    def evaluate(self, X: np.ndarray, center: np.ndarray):
+        """Per-row state of rows X, computed once per trace."""
+        d = X - center
+        values = None if self.field is None else self.field(X)
+        return np.einsum("ij,ij->i", d, d), values
+
+    def inside(self, state, r: float, n: int) -> np.ndarray:
+        """query(center, r).contains_many(X[:n]) from the state of rows X."""
+        dd, values = state
+        ok = dd[:n] <= r ** 2
+        if values is not None:
+            keep = self.keep(values[..., :n], r)
+            if keep is not None:
+                ok &= keep
+        return ok
+
+
+BALL = Family()
+
+
+class _Restricted(Family):
+    """A family seen through RestrictedOracle: each query also meets `region`."""
+
+    def __init__(self, inner: Family, region: Region):
+        self.inner = inner
+        self.static = region
+
+    def query(self, center, r):
+        return Intersection(self.inner.query(center, r), self.static)
+
+    def evaluate(self, X, center):
+        return self.inner.evaluate(X, center), self.static.contains_many(X)
+
+    def inside(self, state, r, n):
+        inner, static = state
+        return self.inner.inside(inner, r, n) & static[:n]
+
+
+class _Preimage(Family):
+    """A family seen through MappedOracle: each query is pulled back by fwd."""
+
+    def __init__(self, inner: Family, oracle: "MappedOracle"):
+        self.inner = inner
+        self.oracle = oracle
+
+    def query(self, center, r):
+        return PreimageRegion(self.inner.query(center, r), self.oracle.fwd,
+                              self.oracle.displacement_bound)
+
+    def evaluate(self, X, center):
+        return self.inner.evaluate(self.oracle.mapped(X), center)
+
+    def inside(self, state, r, n):
+        return self.inner.inside(state, r, n)
+
+
+# ---------------------------------------------------------------------------
 # oracle base
+
+
+def _kept_sum(w, keep) -> tuple[float, float]:
+    """Total and largest weight of the kept samples (0 when none is kept)."""
+    kept = w[keep]
+    return float(kept.sum()), (float(kept.max()) if len(kept) else 0.0)
 
 
 class MeasureOracle:
@@ -244,6 +367,15 @@ class MeasureOracle:
 
     def mass(self, region: Region) -> tuple[float, float]:
         raise NotImplementedError
+
+    def trace(self, center, radii, family: Family = BALL) -> list[tuple[float, float]]:
+        """[mass(family.query(center, r)) for r in radii].
+
+        Backends that evaluate the family's field once per trace override
+        this and return the same values, bit for bit.
+        """
+        center = np.asarray(center, dtype=float)
+        return [self.mass(family.query(center, float(r))) for r in radii]
 
     def samples_in_ball(self, center: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """Localized empirical representation: points and weights in B(center, radius)."""
@@ -275,6 +407,9 @@ class RestrictedOracle(MeasureOracle):
     def mass(self, region: Region) -> tuple[float, float]:
         return self.base.mass(Intersection(region, self.region))
 
+    def trace(self, center, radii, family: Family = BALL):
+        return self.base.trace(center, radii, _Restricted(family, self.region))
+
     def samples_in_ball(self, center, radius):
         pts, w = self.base.samples_in_ball(center, radius)
         if len(pts) == 0:
@@ -284,10 +419,6 @@ class RestrictedOracle(MeasureOracle):
 
     def granularity(self):
         return self.base.granularity()
-
-
-def restrict(oracle: MeasureOracle, region: Region) -> MeasureOracle:
-    return oracle.restrict(region)
 
 
 class PreimageRegion(Region):
@@ -326,11 +457,16 @@ class MappedOracle(MeasureOracle):
         self.fwd = fwd
         self.inv = inv
         self.displacement_bound = displacement_bound
+        # fwd of the rows a trace reads, kept across the traces of a condition
+        self.mapped = SharedField(fwd)
         self.m = base.m
         self.n = base.n
 
     def mass(self, region: Region) -> tuple[float, float]:
         return self.base.mass(PreimageRegion(region, self.fwd, self.displacement_bound))
+
+    def trace(self, center, radii, family: Family = BALL):
+        return self.base.trace(center, radii, _Preimage(family, self))
 
     def samples_in_ball(self, center, radius):
         center = np.asarray(center, dtype=float)
@@ -364,6 +500,10 @@ class UnionOracle(MeasureOracle):
     def mass(self, region: Region) -> tuple[float, float]:
         vals, errs = zip(*(p.mass(region) for p in self.parts))
         return float(sum(vals)), float(sum(errs))
+
+    def trace(self, center, radii, family: Family = BALL):
+        rows = zip(*(p.trace(center, radii, family) for p in self.parts))
+        return [(float(sum(v for v, _ in row)), float(sum(e for _, e in row))) for row in rows]
 
     def samples_in_ball(self, center, radius):
         pts, ws = [], []
@@ -454,11 +594,33 @@ class CloudOracle(MeasureOracle):
             raise ValueError(f"cloud in R^{self.n} cannot carry an m={m} measure")
 
     def mass(self, region: Region) -> tuple[float, float]:
-        keep = region.contains_many(self.cloud.points)
-        if not keep.any():
-            return 0.0, 0.0
-        w = self.cloud.weights[keep]
-        return float(w.sum()), float(w.max())
+        return _kept_sum(self.cloud.weights, region.contains_many(self.cloud.points))
+
+    def trace(self, center, radii, family: Family = BALL):
+        """`mass` at each radius, with the family evaluated once on the points
+        within the largest bounding ball, in their original order."""
+        center = np.asarray(center, dtype=float)
+        radii = [float(r) for r in radii]
+        queries = [family.query(center, r) for r in radii]
+        rows = self._reach(center, queries)
+        if len(rows) < 2:
+            # a one-row matrix product may round differently from a longer one
+            return [self.mass(q) for q in queries]
+        w = self.cloud.weights[rows]
+        state = family.evaluate(self.cloud.points[rows], center)
+        return [_kept_sum(w, family.inside(state, r, len(rows))) for r in radii]
+
+    def _reach(self, center, queries) -> np.ndarray:
+        """Rows that may lie in some query: those within the largest bounding
+        ball about center (with a relative slack of 1e-9 for rounding in a
+        map's displacement bound), or all rows."""
+        balls = [q.bounding_ball() for q in queries]
+        if not balls or any(bb is None or np.asarray(bb[0], dtype=float).tobytes()
+                            != center.tobytes() for bb in balls):
+            return np.arange(len(self.cloud.weights))
+        reach = (1 + 1e-9) * max(float(bb[1]) for bb in balls)
+        d = self.cloud.points - center
+        return np.flatnonzero(np.einsum("ij,ij->i", d, d) <= reach ** 2)
 
     def samples_in_ball(self, center, radius):
         d = self.cloud.points - np.asarray(center, dtype=float)
@@ -554,10 +716,17 @@ class _AnchoredGrid:
     def _at_anchor(self, center: np.ndarray) -> bool:
         key = center.tobytes()
         if key != self.anchor and key == self.previous:
+            self.anchor_at(center)
+        self.previous = key
+        return key == self.anchor
+
+    def anchor_at(self, center: np.ndarray) -> None:
+        """Sort the rows about center now; a trace culls there many times."""
+        key = center.tobytes()
+        if key != self.anchor:
             self._sort(center)
             self.anchor = key
         self.previous = key
-        return key == self.anchor
 
     def _chunks(self, center):
         """(offset, nodes - center) per BLOCK rows of the stored order."""
@@ -622,6 +791,30 @@ class _AnchoredGrid:
         return self.pts[rows], self.w[rows]
 
 
+def _margin_sum(w, ell, margin) -> tuple[float, float]:
+    """Mass with fractional coverage of boundary cells, and their largest weight.
+
+    Fractional coverage, clip(1/2 + margin / ell, 0, 1), removes the O(h/r)
+    indicator noise; cells fully inside or outside keep weight 1 or 0.
+    """
+    frac = margin / ell
+    frac += 0.5
+    np.clip(frac, 0.0, 1.0, out=frac)
+    value = float(np.dot(w, frac))
+    partial = frac > 0.0
+    partial &= frac < 1.0
+    # weights are nonnegative, so 0 stands for "no boundary cell"
+    return value, float(np.max(w, where=partial, initial=0.0))
+
+
+def _combine(fine, coarse) -> tuple[float, float]:
+    """(value, error) from the fine and coarse grid sums."""
+    value, floor = fine
+    # the relative term absorbs rounding noise in the quadrature weights,
+    # which is well above machine epsilon when the jacobian is numeric
+    return value, abs(value - coarse[0]) + floor + 1e-11 * abs(value)
+
+
 class ChartOracle(MeasureOracle):
     """Indicator quadrature over a list of charts with one-refinement error.
 
@@ -658,35 +851,67 @@ class ChartOracle(MeasureOracle):
         pts, w, ell = grid.cull(region)
         margin = region.margin(pts)
         if margin is None:
-            keep = region.contains_many(pts)
-            value = float(w[keep].sum())
-            floor = float(w[keep].max()) if keep.any() else 0.0
-            return value, floor
-        # fractional coverage of boundary cells removes the O(h/r) indicator
-        # noise; cells fully inside or outside keep weight 1 or 0
-        frac = np.clip(0.5 + margin / ell, 0.0, 1.0)
-        value = float(np.dot(w, frac))
-        partial = (frac > 0.0) & (frac < 1.0)
-        floor = float(w[partial].max()) if partial.any() else 0.0
-        return value, floor
+            return _kept_sum(w, region.contains_many(pts))
+        return _margin_sum(w, ell, margin)
 
     def mass(self, region: Region) -> tuple[float, float]:
         coarse_grid, fine_grid = self._grids()
-        value, floor = self._grid_sum(fine_grid, region)
-        coarse, _ = self._grid_sum(coarse_grid, region)
-        # the relative term absorbs rounding noise in the quadrature weights,
-        # which is well above machine epsilon when the jacobian is numeric
-        return value, abs(value - coarse) + floor + 1e-11 * abs(value)
+        return _combine(self._grid_sum(fine_grid, region), self._grid_sum(coarse_grid, region))
+
+    def trace(self, center, radii, family: Family = BALL):
+        """`mass` at each radius, from one anchored prefix per grid.
+
+        Each grid is sorted about center at once.  A plain ball's margins
+        come from one pass of distances over the rows of the largest reach,
+        any other family's state from one `evaluate` there; each radius is
+        then its own prefix of those rows, summed as `_grid_sum` sums it.
+        A radius whose query culls about another center, has margins
+        without being a plain ball, or keeps fewer than two rows goes
+        through `_grid_sum` itself.
+        """
+        center = np.asarray(center, dtype=float)
+        radii = [float(r) for r in radii]
+        queries = [family.query(center, r) for r in radii]
+        coarse_grid, fine_grid = self._grids()
+        fine = self._grid_trace(fine_grid, center, radii, queries, family)
+        coarse = self._grid_trace(coarse_grid, center, radii, queries, family)
+        return [_combine(f, c) for f, c in zip(fine, coarse)]
+
+    def _grid_trace(self, grid: _AnchoredGrid, center, radii, queries, family: Family):
+        grid.anchor_at(center)
+        # a fallback cull about another center may re-sort the grid
+        pts, w, ell, dist = grid.pts, grid.w, grid.ell, grid.dist
+        ends = []
+        for q in queries:
+            bb = q.bounding_ball()
+            same = bb is not None and np.asarray(bb[0], dtype=float).tobytes() == grid.anchor
+            ends.append(int(np.searchsorted(dist, float(bb[1]) + grid.pad, side="right"))
+                        if same else 0)
+        X = pts[:max(ends, default=0)]
+        state = norms = None
+        out = []
+        for r, q, end in zip(radii, queries, ends):
+            if end < 2:
+                # a one-row matrix product may round differently from a longer one
+                out.append(self._grid_sum(grid, q))
+            elif isinstance(q, ClosedBall):
+                if norms is None:
+                    d = X - center
+                    norms = np.sqrt(np.einsum("ij,ij->i", d, d))
+                out.append(_margin_sum(w[:end], ell[:end], q.radius - norms[:end]))
+            elif q.margin(X[:0]) is not None:
+                out.append(self._grid_sum(grid, q))
+            else:
+                if state is None:
+                    state = family.evaluate(X, center)
+                out.append(_kept_sum(w[:end], family.inside(state, r, end)))
+        return out
 
     def samples_in_ball(self, center, radius):
         return self._grids()[1].in_ball(np.asarray(center, dtype=float), radius)
 
     def granularity(self):
         return self._grids()[1].max_weight
-
-
-def chart_oracle(charts: Sequence[ChartSpec], m: int) -> ChartOracle:
-    return ChartOracle(charts, m)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,15 @@ def test_fixture_emit_bad_alpha(tmp_path, capsys):
     assert "alpha in (0.5, 1)" in capsys.readouterr().err
 
 
+def test_fixture_emit_unknown_param(tmp_path, capsys):
+    out = tmp_path / "x.cloud"
+    code = main(["fixture", "emit", "graph_poly", "--param", "coef=0.5,2",
+                 "--out", str(out)])
+    assert code == 2
+    assert "'coef'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["circle", "sphere"])
 @pytest.mark.parametrize("resolution", ["0", "-3", "2.5"])
 def test_fixture_emit_bad_resolution(tmp_path, capsys, name, resolution):
@@ -98,6 +107,54 @@ def test_analyze_cloud_file_input(tmp_path):
                            "--point", "0,0", "--order", "1")
     assert code == 0
     assert report["tangent"]["m"] == 1
+
+
+# graph clouds whose granularity leaves the default schedule one radius
+# short of the 3w - 1 = 14 that a verdict needs
+STEEP_DRAWS = [(-1.4234, 2.6919), (1.9296, -2.7576), (1.8578, -2.1672), (1.9004, -2.0925)]
+DEFAULT_SCHEDULE = "0.5,0.7071067811865476,24"
+
+
+def emit_graph(tmp_path, c2, c3):
+    cloud = str(tmp_path / "graph.cloud")
+    assert main(["fixture", "emit", "graph_poly", "--param", f"coeffs={c2!r},{c3!r}",
+                 "--out", cloud]) == 0
+    return cloud
+
+
+@pytest.mark.parametrize("c2,c3", STEEP_DRAWS)
+def test_steep_cloud_gets_a_decisive_schedule(tmp_path, c2, c3):
+    cloud = emit_graph(tmp_path, c2, c3)
+    code, report = analyze(tmp_path, "--input", cloud, "--point", "0,0", "--order", "3")
+    assert code == 0
+    sched = report["schedule"]
+    assert sched["r0"] == 0.5 and sched["J"] == 24 and 2 ** -0.5 < sched["q"] < 0.72
+    s = 1.0 if report["tangent"]["basis"][0][0] >= 0 else -1.0
+    for deg, want in (("2", c2 / 2), ("3", s * c3 / 6)):
+        ((_, coeff),) = report["jet"]["forms"][deg]
+        assert abs(coeff[0]) <= 1e-6 and abs(coeff[1] - want) <= 1e-6
+
+
+def test_explicit_schedule_is_kept_and_tangent_stage_reports_itself(tmp_path):
+    cloud = emit_graph(tmp_path, *STEEP_DRAWS[0])
+    code, report = analyze(tmp_path, "--input", cloud, "--point", "0,0", "--order", "3",
+                           "--schedule", DEFAULT_SCHEDULE)
+    assert code == 3
+    assert report["schedule"] == {"r0": 0.5, "q": 2 ** -0.5, "J": 24}
+    assert report["verdicts"] == {"tangent_plane": "inconclusive", "jet_fit": "inconclusive"}
+    assert report["tangent"] == {"reason": "validation_inconclusive"}
+
+
+def test_decided_cloud_keeps_the_default_schedule(tmp_path):
+    cloud = emit_graph(tmp_path, 0.5, 1.0)
+    reports = []
+    for extra in ((), ("--schedule", DEFAULT_SCHEDULE)):
+        code, report = analyze(tmp_path, "--input", cloud, "--point", "0,0", "--order", "3",
+                               *extra)
+        assert code == 0
+        del report["timings"]
+        reports.append(json.dumps(report, sort_keys=True))
+    assert reports[0] == reports[1]
 
 
 def test_analyze_hairs_order2_has_no_residual_rule(tmp_path, capsys):

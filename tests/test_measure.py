@@ -19,15 +19,14 @@ from gmtjet.geometry import (
     PlaneCone,
 )
 from gmtjet.measure import (
+    ChartOracle,
     ChartSpec,
     CloudOracle,
     IntervalOracle,
     SegmentPiece,
     WeightedCloud,
-    chart_oracle,
     clip_segments,
     read_cloud,
-    restrict,
     unit_ball_volume,
     write_cloud,
 )
@@ -181,22 +180,22 @@ def test_interval_samples_in_ball():
 
 
 def test_circle_mass_two_pi():
-    oracle = chart_oracle([circle_chart()], m=1)
+    oracle = ChartOracle([circle_chart()], m=1)
     val, err = oracle.mass(FullSpace())
     assert abs(val - 2 * math.pi) <= 1e-3
     assert abs(val - 2 * math.pi) <= 3 * err
 
 
 def test_circle_numeric_jacobian_agrees():
-    exact = chart_oracle([circle_chart(resolution=512)], m=1)
-    numeric = chart_oracle([circle_chart(resolution=512, analytic_jacobian=False)], m=1)
+    exact = ChartOracle([circle_chart(resolution=512)], m=1)
+    numeric = ChartOracle([circle_chart(resolution=512, analytic_jacobian=False)], m=1)
     v1, _ = exact.mass(FullSpace())
     v2, _ = numeric.mass(FullSpace())
     assert abs(v1 - v2) <= 1e-6
 
 
 def test_circle_right_half_arc():
-    oracle = chart_oracle([circle_chart()], m=1)
+    oracle = ChartOracle([circle_chart()], m=1)
     # points of the unit circle within sqrt(2) of (1,0) form the arc |theta| <= pi/2
     val, err = oracle.mass(ClosedBall(np.array([1.0, 0.0]), math.sqrt(2)))
     assert abs(val - math.pi) <= max(1e-2, 3 * err)
@@ -221,7 +220,7 @@ def test_sphere_area():
 
     chart = ChartSpec(domain=[(0.0, math.pi), (0.0, 2 * math.pi)],
                       mapping=mapping, jacobian=jacobian, quad_resolution=128)
-    oracle = chart_oracle([chart], m=2)
+    oracle = ChartOracle([chart], m=2)
     val, err = oracle.mass(FullSpace())
     assert abs(val - 4 * math.pi) <= 1e-2
     # hemisphere via an open half-space expressed as a vertical cylinder slab
@@ -237,7 +236,7 @@ def test_chart_vs_interval_on_segment():
         return out
 
     chart = ChartSpec(domain=[(0.0, 1.0)], mapping=mapping, quad_resolution=2048)
-    approx = chart_oracle([chart], m=1)
+    approx = ChartOracle([chart], m=1)
     exact = unit_segment_oracle()
     for _ in range(20):
         c = RNG.uniform(-0.2, 1.2, size=2) * np.array([1.0, 0.1])
@@ -290,7 +289,7 @@ class FullGridChart:
 
 def test_anchored_chart_matches_full_grid_cull():
     charts = make_fixture("sphere", resolution=48).oracle.charts
-    oracle, reference = chart_oracle(charts, m=2), FullGridChart(charts)
+    oracle, reference = ChartOracle(charts, m=2), FullGridChart(charts)
     pole = np.array([0.0, 0.0, 1.0])
     side = np.array([0.3, -0.2, math.sqrt(1 - 0.13)])
     v, eps = np.array([1.0, 0.0, 0.0]), 0.3
@@ -417,7 +416,7 @@ def test_mass_monotone_in_radius(r1, r2):
 
 def test_restriction_halves_segment():
     oracle = unit_segment_oracle()
-    right = restrict(oracle, ClosedBall(np.array([1.0, 0.0]), 0.5))
+    right = oracle.restrict(ClosedBall(np.array([1.0, 0.0]), 0.5))
     assert abs(right.mass(FullSpace())[0] - 0.5) <= 1e-12
     val, _ = right.mass(ClosedBall(np.zeros(2), 0.6))
     assert abs(val - 0.1) <= 1e-12
@@ -427,8 +426,8 @@ def test_double_restriction_matches_intersection():
     oracle = unit_segment_oracle()
     r1 = ClosedBall(np.array([0.0, 0.0]), 0.8)
     r2 = ClosedBall(np.array([1.0, 0.0]), 0.7)
-    twice = restrict(restrict(oracle, r1), r2)
-    once = restrict(oracle, Intersection(r1, r2))
+    twice = oracle.restrict(r1).restrict(r2)
+    once = oracle.restrict(Intersection(r1, r2))
     for _ in range(10):
         region = ClosedBall(RNG.uniform(-0.5, 1.5, size=2), RNG.uniform(0.1, 1.0))
         assert abs(twice.mass(region)[0] - once.mass(region)[0]) <= 1e-12
@@ -436,7 +435,7 @@ def test_double_restriction_matches_intersection():
 
 def test_restricted_samples_filtered():
     oracle = unit_segment_oracle()
-    right = restrict(oracle, ClosedBall(np.array([1.0, 0.0]), 0.5))
+    right = oracle.restrict(ClosedBall(np.array([1.0, 0.0]), 0.5))
     pts, w = right.samples_in_ball(np.array([0.5, 0.0]), 10.0)
     assert np.all(pts[:, 0] >= 0.5 - 1e-9)
     assert abs(w.sum() - 0.5) <= 1e-2
