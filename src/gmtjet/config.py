@@ -1,11 +1,14 @@
-"""Centralized numerical tolerances and default grids.
+"""Centralized numerical tolerances and grids.
 
-Every threshold used by the estimators and verdict rules lives here so the
-test suite and the CLI agree on a single set of numbers.
+Every threshold used by the estimators and verdict rules, and every grid
+that discretizes a quantifier (apertures eps, mass constants eta, Hoelder
+constants lambda), lives here.  They are constants: each function reads
+`DEFAULT_TOL.<field>` or `DEFAULT_GRIDS.<field>` where it uses the value,
+and none takes them as arguments.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

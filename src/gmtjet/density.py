@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_GRIDS, DEFAULT_TOL, Tolerances
+from .config import DEFAULT_GRIDS, DEFAULT_TOL
 from .geometry import (
     ClosedBall,
     Complement,
@@ -45,9 +45,7 @@ class ScaleSchedule:
     def radii(self) -> np.ndarray:
         return self.r0 * self.q ** np.arange(self.J)
 
-    def clip_for(self, oracle: MeasureOracle,
-                 tol: Tolerances = DEFAULT_TOL,
-                 factor: float | None = None) -> "ScaleSchedule":
+    def clip_for(self, oracle: MeasureOracle, factor: float | None = None) -> "ScaleSchedule":
         """Drop scales where a single sample weight dominates the ball mass.
 
         `factor` overrides the default granularity factor; vanishing-density
@@ -58,7 +56,7 @@ class ScaleSchedule:
         if g <= 0:
             return self
         if factor is None:
-            factor = tol.granularity_factor
+            factor = DEFAULT_TOL.granularity_factor
         J = self._reliable(oracle.m, factor * g)
         if J < 8:
             raise ValueError("schedule has fewer than 8 reliable scales for this oracle")
@@ -68,8 +66,7 @@ class ScaleSchedule:
         """How many radii have r^m >= floor."""
         return int((self.radii ** m >= floor).sum())
 
-    def decisive_for(self, oracle: MeasureOracle,
-                     tol: Tolerances = DEFAULT_TOL) -> "ScaleSchedule":
+    def decisive_for(self, oracle: MeasureOracle) -> "ScaleSchedule":
         """This schedule, or the same r0 and J with q raised just enough
         that `clip_for` keeps the 3w - 1 radii `decide_verdict` needs.
 
@@ -77,9 +74,9 @@ class ScaleSchedule:
         then every trace is inconclusive for its length alone.  Returns self
         when it already keeps enough radii, or when no q < 1 would.
         """
-        need = 3 * tol.trailing_window - 1
+        need = 3 * DEFAULT_TOL.trailing_window - 1
         g = oracle.granularity()
-        floor = tol.granularity_factor * g
+        floor = DEFAULT_TOL.granularity_factor * g
         if g <= 0 or need > self.J or self._reliable(oracle.m, floor) >= need:
             return self
         # the smallest q with r0 q^(need - 1) >= floor^(1/m), raised by far
@@ -141,14 +138,13 @@ def _running_window(values: np.ndarray, errs: np.ndarray, w: int, fn):
     return out_v, out_e
 
 
-def decide_verdict(ratios: np.ndarray, errs: np.ndarray, window_fn,
-                   tol: Tolerances = DEFAULT_TOL) -> tuple[str, float | None]:
+def decide_verdict(ratios: np.ndarray, errs: np.ndarray, window_fn) -> tuple[str, float | None]:
     """Deterministic verdict from a ratio trace.
 
     The trace is first reduced to a running-window statistic (max for upper
     limits, min for lower limits), then classified from its trailing window.
     """
-    w = tol.trailing_window
+    w = DEFAULT_TOL.trailing_window
     ratios = np.asarray(ratios, dtype=float)
     errs = np.asarray(errs, dtype=float)
     if len(ratios) < 3 * w - 1:
@@ -156,14 +152,16 @@ def decide_verdict(ratios: np.ndarray, errs: np.ndarray, window_fn,
     der, der_e = _running_window(ratios, errs, w, window_fn)
     trail, trail_e = der[-w:], der_e[-w:]
     prev = der[-2 * w:-w]
-    if np.all(trail + trail_e < tol.tol_zero) and trail.max() <= 0.5 * prev.max() + 1e-300:
+    if np.all(trail + trail_e < DEFAULT_TOL.tol_zero) \
+            and trail.max() <= 0.5 * prev.max() + 1e-300:
         return "limit_zero", 0.0
-    if np.all(np.diff(trail) > 0) and trail[-1] - trail_e[-1] > tol.diverge_threshold:
+    if np.all(np.diff(trail) > 0) \
+            and trail[-1] - trail_e[-1] > DEFAULT_TOL.diverge_threshold:
         return "diverges", None
     est = float(trail.mean())
     spread = (trail.max() - trail.min()) / max(est, 1e-300)
-    if est > tol.tol_zero and spread < tol.positive_spread \
-            and trail_e.max() <= tol.positive_spread * max(est, 1e-300):
+    if est > DEFAULT_TOL.tol_zero and spread < DEFAULT_TOL.positive_spread \
+            and trail_e.max() <= DEFAULT_TOL.positive_spread * max(est, 1e-300):
         return "limit_positive", est
     return "inconclusive", None
 
@@ -182,12 +180,11 @@ def density_ratio(oracle: MeasureOracle, a: np.ndarray, m: int, r: float) -> tup
 
 
 def _trace(oracle: MeasureOracle, a, m: int, schedule: ScaleSchedule, window_fn,
-           tol: Tolerances = DEFAULT_TOL, family: Family = BALL,
-           clip_factor: float | None = None) -> DensityTrace:
+           family: Family = BALL, clip_factor: float | None = None) -> DensityTrace:
     """Ratios mass(B(a, r) ^ family.region(r)) / alpha(m) r^m over the
     clipped schedule, from one oracle trace, with their verdict."""
     a = np.asarray(a, dtype=float)
-    schedule = schedule.clip_for(oracle, tol, factor=clip_factor)
+    schedule = schedule.clip_for(oracle, factor=clip_factor)
     radii = [float(r) for r in schedule.radii]
     entries = []
     for r, (val, err) in zip(radii, oracle.trace(a, radii, family)):
@@ -195,19 +192,17 @@ def _trace(oracle: MeasureOracle, a, m: int, schedule: ScaleSchedule, window_fn,
         entries.append((r, val / norm, err / norm))
     ratios = np.array([e[1] for e in entries])
     errs = np.array([e[2] for e in entries])
-    verdict, est = decide_verdict(ratios, errs, window_fn, tol)
+    verdict, est = decide_verdict(ratios, errs, window_fn)
     return DensityTrace(a, m, schedule, entries, verdict, est)
 
 
 def upper_density(oracle: MeasureOracle, a, m: int, schedule: ScaleSchedule,
-                  tol: Tolerances = DEFAULT_TOL,
                   clip_factor: float | None = None) -> DensityTrace:
-    return _trace(oracle, a, m, schedule, np.max, tol, clip_factor=clip_factor)
+    return _trace(oracle, a, m, schedule, np.max, clip_factor=clip_factor)
 
 
-def lower_density(oracle: MeasureOracle, a, m: int, schedule: ScaleSchedule,
-                  tol: Tolerances = DEFAULT_TOL) -> DensityTrace:
-    return _trace(oracle, a, m, schedule, np.min, tol)
+def lower_density(oracle: MeasureOracle, a, m: int, schedule: ScaleSchedule) -> DensityTrace:
+    return _trace(oracle, a, m, schedule, np.min)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +213,16 @@ def _positive_density(trace: DensityTrace) -> str:
     if trace.verdict in ("limit_positive", "diverges"):
         return "holds"
     if trace.verdict == "limit_zero":
+        return "fails"
+    return "inconclusive"
+
+
+def vanishing_status(verdict: str) -> str:
+    """holds / fails / inconclusive for a trace verdict expected to be
+    limit_zero; the mirror of `_positive_density`."""
+    if verdict == "limit_zero":
+        return "holds"
+    if verdict in ("limit_positive", "diverges"):
         return "fails"
     return "inconclusive"
 
@@ -247,20 +252,18 @@ def _normalized(v: np.ndarray) -> np.ndarray:
 
 
 def in_upper_tangent_cone(oracle: MeasureOracle, a, m: int, v,
-                          eps_grid: Sequence[float] = DEFAULT_GRIDS.eps_grid,
-                          schedule: ScaleSchedule = ScaleSchedule(),
-                          tol: Tolerances = DEFAULT_TOL) -> Verdict:
+                          schedule: ScaleSchedule = ScaleSchedule()) -> Verdict:
     """v in Tan*^m(phi, a): positive upper density along every cone E(a,v,eps)."""
     a = np.asarray(a, dtype=float)
     v = _normalized(v)
     per_eps, traces = {}, {}
     if np.linalg.norm(v) == 0:
-        trace = upper_density(oracle, a, m, schedule, tol)
+        trace = upper_density(oracle, a, m, schedule)
         status = _positive_density(trace)
         return Verdict(status, {"v": v.tolist(), "trace": trace})
-    for eps in eps_grid:
+    for eps in DEFAULT_GRIDS.eps_grid:
         restricted = oracle.restrict(Cone(a, v, eps))
-        trace = upper_density(restricted, a, m, schedule, tol)
+        trace = upper_density(restricted, a, m, schedule)
         per_eps[eps] = _positive_density(trace)
         traces[eps] = trace
     return Verdict(combine_statuses(per_eps.values()),
@@ -269,8 +272,6 @@ def in_upper_tangent_cone(oracle: MeasureOracle, a, m: int, v,
 
 def eta_uniform_condition(oracle: MeasureOracle, m: int, schedule: ScaleSchedule,
                           eps: float, mass_fn: Callable[[float], tuple[float, float]],
-                          eta_grid: Sequence[float] = DEFAULT_GRIDS.eta_grid,
-                          tol: Tolerances = DEFAULT_TOL,
                           norm: float = 1.0) -> tuple[str, dict]:
     """Grid test of "exists eta > 0 with mass_fn(r) >= eta norm r^m at small r".
 
@@ -282,34 +283,38 @@ def eta_uniform_condition(oracle: MeasureOracle, m: int, schedule: ScaleSchedule
     """
     g = oracle.granularity()
     radii = [float(r) for r in schedule.radii
-             if (g <= 0 or (eps * r) ** m >= tol.granularity_factor * g)
+             if (g <= 0 or (eps * r) ** m >= DEFAULT_TOL.granularity_factor * g)
              and r <= eps * schedule.r0]
-    radii = radii[-max(3, tol.trailing_window):]
+    radii = radii[-max(3, DEFAULT_TOL.trailing_window):]
     if len(radii) < 3:
         return "untested", {"eps": eps, "radii": radii}
     rows = [(r,) + tuple(mass_fn(r)) for r in radii]
     diag = {"eps": eps, "rows": rows}
-    for eta in eta_grid:
+    for eta in DEFAULT_GRIDS.eta_grid:
         if all(val - err >= eta * norm * r ** m for r, val, err in rows):
             diag["eta"] = eta
             return "holds", diag
-    eta_min = min(eta_grid)
+    eta_min = min(DEFAULT_GRIDS.eta_grid)
     if any(val + err < eta_min * norm * r ** m for r, val, err in rows):
         return "fails", diag
     return "inconclusive", diag
 
 
 def in_lower_tangent_cone(oracle: MeasureOracle, a, m: int, v,
-                          eps_grid: Sequence[float] = DEFAULT_GRIDS.eps_grid,
-                          schedule: ScaleSchedule = ScaleSchedule(),
-                          tol: Tolerances = DEFAULT_TOL,
-                          eta_grid: Sequence[float] = DEFAULT_GRIDS.eta_grid) -> Verdict:
+                          schedule: ScaleSchedule = ScaleSchedule()) -> Verdict:
     """v in Tan_*^m(phi, a): positive lower density plus the eta-uniform
     ball-mass condition mass(U(a + r v, eps r)) >= eta r^m on the finest
     eligible scales of each aperture."""
     a = np.asarray(a, dtype=float)
+    return _lower_cone_verdict(oracle, a, m, v, schedule,
+                               lower_density(oracle, a, m, schedule))
+
+
+def _lower_cone_verdict(oracle: MeasureOracle, a: np.ndarray, m: int, v,
+                        schedule: ScaleSchedule, base: DensityTrace) -> Verdict:
+    """`in_lower_tangent_cone` given `base`, the lower-density trace at a,
+    so that the candidates of one plane share it."""
     v = _normalized(v)
-    base = lower_density(oracle, a, m, schedule.clip_for(oracle, tol), tol)
     density_status = _positive_density(base)
     diag = {"v": v.tolist(), "lower_density": base}
     if density_status == "fails":
@@ -319,15 +324,18 @@ def in_lower_tangent_cone(oracle: MeasureOracle, a, m: int, v,
         return Verdict(density_status, diag)
 
     per_eps, details = {}, {}
-    for eps in eps_grid:
+    for eps in DEFAULT_GRIDS.eps_grid:
         def mass_fn(r, eps=eps):
-            # the enclosing ball centered at a keeps the oracle's sample
-            # culling anchored to one center across all scales
+            # the hull contains the open ball, so the region is the ball, and
+            # Intersection.bounding_ball culls about the ball's center, which
+            # moves with r.  The hull stays because the two touch at their
+            # far end, which the clip engine places at (vn + eps) r for the
+            # hull and at vn r + eps r for the ball: dropping the hull can
+            # move last bits.
             hull = ClosedBall(a, (vn + eps) * r)
             return oracle.mass(Intersection(hull, OpenBall(a + r * v, eps * r)))
 
-        status, d = eta_uniform_condition(oracle, m, schedule, eps, mass_fn,
-                                          eta_grid, tol)
+        status, d = eta_uniform_condition(oracle, m, schedule, eps, mass_fn)
         per_eps[eps] = status
         details[eps] = d
     diag["per_eps"] = per_eps
@@ -349,48 +357,42 @@ def in_lower_tangent_cone(oracle: MeasureOracle, a, m: int, v,
 VANISHING_CLIP = 4.0
 
 
-def settle_vanishing(oracle: MeasureOracle, trace: DensityTrace, m: int,
-                     tol: Tolerances = DEFAULT_TOL) -> str:
+def settle_vanishing(oracle: MeasureOracle, trace: DensityTrace, m: int) -> str:
     """holds / fails / inconclusive for an upper trace expected to vanish."""
-    if trace.verdict == "limit_zero":
-        return "holds"
-    if trace.verdict in ("limit_positive", "diverges"):
-        return "fails"
+    status = vanishing_status(trace.verdict)
+    if status != "inconclusive":
+        return status
     g = oracle.granularity()
     keep = [e for e in trace.entries
-            if g <= 0 or e[0] ** m >= tol.granularity_factor * g]
+            if g <= 0 or e[0] ** m >= DEFAULT_TOL.granularity_factor * g]
     ratios = np.array([e[1] for e in keep])
     errs = np.array([e[2] for e in keep])
-    verdict, est = decide_verdict(ratios, errs, np.max, tol)
+    verdict, est = decide_verdict(ratios, errs, np.max)
     if verdict != "inconclusive":
         trace.verdict, trace.estimate = verdict, est
-    if verdict == "limit_zero":
-        return "holds"
-    if verdict in ("limit_positive", "diverges"):
-        return "fails"
+        return vanishing_status(verdict)
     # failing the vanishing condition does not require a clean limit: a
     # trailing window bounded away from zero beyond its error bars is
     # decisive, provided the trace has stopped decreasing (a steady
     # decay means the transition scale just is not resolved yet)
-    w = tol.trailing_window
+    w = DEFAULT_TOL.trailing_window
     if len(ratios) >= 3 * w - 1:
         der, der_e = _running_window(ratios, errs, w, np.min)
         trail, trail_e = der[-w:], der_e[-w:]
         prev = der[-2 * w:-w]
-        slack = trail_e.max() + tol.positive_spread * prev.min()
-        if np.all(trail - trail_e > tol.tol_zero) \
+        slack = trail_e.max() + DEFAULT_TOL.positive_spread * prev.min()
+        if np.all(trail - trail_e > DEFAULT_TOL.tol_zero) \
                 and trail.min() >= prev.min() - slack:
             return "fails"
     return "inconclusive"
 
 
-def vanishing_density_trace(oracle: MeasureOracle, a, m: int,
-                            schedule: ScaleSchedule, family: Family,
-                            tol: Tolerances = DEFAULT_TOL) -> tuple[str, DensityTrace]:
+def vanishing_density_trace(oracle: MeasureOracle, a, m: int, schedule: ScaleSchedule,
+                            family: Family) -> tuple[str, DensityTrace]:
     """Upper-density trace of mass(B(a,r) ^ family.region(r)), settled."""
-    trace = _trace(oracle, a, m, schedule, np.max, tol, family=family,
+    trace = _trace(oracle, a, m, schedule, np.max, family=family,
                    clip_factor=VANISHING_CLIP)
-    return settle_vanishing(oracle, trace, m, tol), trace
+    return settle_vanishing(oracle, trace, m), trace
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +430,7 @@ class VerticalExcess(Family):
 
 
 def cone_condition_check(oracle: MeasureOracle, a, T: Plane,
-                         eps_grid: Sequence[float] = DEFAULT_GRIDS.eps_grid,
-                         schedule: ScaleSchedule = ScaleSchedule(),
-                         tol: Tolerances = DEFAULT_TOL) -> tuple[Verdict, Verdict]:
+                         schedule: ScaleSchedule = ScaleSchedule()) -> tuple[Verdict, Verdict]:
     """Conditions (ii) and (iii) of the tangent-cone equivalence.
 
     (ii): density of the set outside every cone X(a, T, eps) vanishes.
@@ -443,11 +443,11 @@ def cone_condition_check(oracle: MeasureOracle, a, T: Plane,
     split = SharedField(lambda X: np.stack(split_squares(T, a, X)))
 
     ii_eps, iii_eps, traces_ii, traces_iii = {}, {}, {}, {}
-    for eps in eps_grid:
+    for eps in DEFAULT_GRIDS.eps_grid:
         ii_eps[eps], traces_ii[eps] = vanishing_density_trace(
-            oracle, a, m, schedule, ConeOutside(split, T, a, eps), tol)
+            oracle, a, m, schedule, ConeOutside(split, T, a, eps))
         iii_eps[eps], traces_iii[eps] = vanishing_density_trace(
-            oracle, a, m, schedule, VerticalExcess(split, T, a, eps), tol)
+            oracle, a, m, schedule, VerticalExcess(split, T, a, eps))
     vii = Verdict(combine_statuses(ii_eps.values()),
                   {"per_eps": ii_eps, "traces": traces_ii})
     viii = Verdict(combine_statuses(iii_eps.values()),
@@ -472,8 +472,7 @@ class FnPositive(Region):
 def density_transfer_check(domain_oracle: MeasureOracle,
                            f: Callable[[np.ndarray], np.ndarray],
                            a, gamma: float, lam: float, M: float,
-                           schedule: ScaleSchedule = ScaleSchedule(),
-                           tol: Tolerances = DEFAULT_TOL) -> Verdict:
+                           schedule: ScaleSchedule = ScaleSchedule()) -> Verdict:
     """Hypothesis: the sublevel failure set {|f| > lam r^gamma} has density < M
     in B(a,r) at every scale.  Conclusion checked: the density of
     {|f(x)| > 2^gamma lam |x - a|^gamma} stays below M (1 - 2^-m)^-1.
@@ -481,7 +480,7 @@ def density_transfer_check(domain_oracle: MeasureOracle,
     a = np.asarray(a, dtype=float)
     m = domain_oracle.m
     norm_of = lambda r: unit_ball_volume(m) * r ** m
-    schedule = schedule.clip_for(domain_oracle, tol)
+    schedule = schedule.clip_for(domain_oracle)
     bound = M / (1 - 2.0 ** -m)
     hyp_rows, con_rows = [], []
     for r in schedule.radii:
@@ -574,8 +573,7 @@ def estimate_plane_pca(oracle: MeasureOracle, a, m: int,
 
 
 def blow_up_tangent(oracle: MeasureOracle, a, m: int,
-                    schedule: ScaleSchedule = ScaleSchedule(),
-                    tol: Tolerances = DEFAULT_TOL):
+                    schedule: ScaleSchedule = ScaleSchedule()):
     """Rescaled-integral tangent plane in the functional sense.
 
     Returns (plane, theta_hat) when r^-m integrals of the probe bumps against
@@ -584,13 +582,13 @@ def blow_up_tangent(oracle: MeasureOracle, a, m: int,
     """
     a = np.asarray(a, dtype=float)
     n = oracle.n
-    schedule = schedule.clip_for(oracle, tol)
+    schedule = schedule.clip_for(oracle)
     radii = schedule.radii
     probe_fns, rho = _bump_family(n)
     support = 0.5 + rho  # centers at distance <= 1/2
 
     # empirical traces per probe
-    w = tol.trailing_window
+    w = DEFAULT_TOL.trailing_window
     limits = []
     for c, fn in probe_fns:
         vals = []
@@ -601,8 +599,8 @@ def blow_up_tangent(oracle: MeasureOracle, a, m: int,
         trail = np.array(vals[-w:])
         spread = trail.max() - trail.min()
         level = max(abs(trail).max(), 1e-300)
-        stable_zero = abs(trail).max() < tol.tol_zero
-        stable_pos = spread <= tol.positive_spread * level
+        stable_zero = abs(trail).max() < DEFAULT_TOL.tol_zero
+        stable_pos = spread <= DEFAULT_TOL.positive_spread * level
         if not (stable_zero or stable_pos):
             return None
         limits.append(float(trail.mean()))
@@ -616,8 +614,8 @@ def blow_up_tangent(oracle: MeasureOracle, a, m: int,
         consistent = True
         for (c, fn), lim in zip(probe_fns, limits):
             pint = _plane_integral(plane, fn, c, rho)
-            if pint < tol.tol_zero:
-                if abs(lim) > tol.tol_zero:
+            if pint < DEFAULT_TOL.tol_zero:
+                if abs(lim) > DEFAULT_TOL.tol_zero:
                     consistent = False
                     break
                 continue
@@ -628,7 +626,7 @@ def blow_up_tangent(oracle: MeasureOracle, a, m: int,
         if thetas.min() <= 0:
             continue
         spread = (thetas.max() - thetas.min()) / thetas.mean()
-        if spread < 2 * tol.positive_spread:
+        if spread < 2 * DEFAULT_TOL.positive_spread:
             score = spread
             if best is None or score < best[0]:
                 best = (score, plane, float(thetas.mean()))

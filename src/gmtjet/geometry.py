@@ -19,7 +19,7 @@ from .config import DEFAULT_TOL
 # planes
 
 
-def _pivoted_orthonormalize(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _pivoted_orthonormalize(vectors: np.ndarray) -> np.ndarray:
     """Deterministic Gram-Schmidt with a largest-residual-norm pivot rule.
 
     Ties break on the lowest row index, so the basis only depends on the
@@ -31,7 +31,7 @@ def _pivoted_orthonormalize(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarr
     while remaining:
         norms = [float(np.linalg.norm(work[i])) for i in remaining]
         best = max(range(len(remaining)), key=lambda j: (norms[j], -remaining[j]))
-        if norms[best] <= tol:
+        if norms[best] <= DEFAULT_TOL.orthonormal:
             break
         v = work[remaining[best]] / norms[best]
         basis.append(v)
@@ -113,11 +113,10 @@ class Plane:
         """
         return float(np.linalg.norm(self.projector - other.projector, 2))
 
-    def contains(self, x: np.ndarray, tol: float | None = None) -> bool:
-        tol = DEFAULT_TOL.plane_membership if tol is None else tol
+    def contains(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=float)
         scale = max(1.0, float(np.linalg.norm(x)))
-        return float(np.linalg.norm(self.normal(x))) <= tol * scale
+        return float(np.linalg.norm(self.normal(x))) <= DEFAULT_TOL.plane_membership * scale
 
 
 # ---------------------------------------------------------------------------

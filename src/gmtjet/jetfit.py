@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_GRIDS, DEFAULT_TOL, Grids, Tolerances
+from .config import DEFAULT_GRIDS, DEFAULT_TOL
 from .density import (
     DensityTrace,
     FnPositive,
     ScaleSchedule,
     Verdict,
+    _lower_cone_verdict,
     combine_statuses,
     cone_condition_check,
     eta_uniform_condition,
-    in_lower_tangent_cone,
     lower_density,
     vanishing_density_trace,
 )
@@ -43,14 +43,12 @@ from .measure import Family, MappedOracle, MeasureOracle, SharedField, unit_ball
 # tangent plane
 
 
-def _estimate_tangent(oracle: MeasureOracle, a, schedule: ScaleSchedule,
-                      tol: Tolerances, grids: Grids,
-                      force_m: int | None = None):
+def _estimate_tangent(oracle: MeasureOracle, a, schedule: ScaleSchedule):
     a = np.asarray(a, dtype=float)
     n = oracle.n
     diag: dict = {}
     try:
-        sched = schedule.clip_for(oracle, tol)
+        sched = schedule.clip_for(oracle)
     except ValueError:
         diag["reason"] = "schedule_too_coarse"
         return None, diag
@@ -71,53 +69,42 @@ def _estimate_tangent(oracle: MeasureOracle, a, schedule: ScaleSchedule,
     vals, vecs = vals[::-1], vecs[:, ::-1]
     diag["eigenvalues"] = [float(v) for v in vals]
 
-    if force_m is None:
-        # a curved m-set opens a second spectral gap at scale r (curvature
-        # contributes r^2 along the normal eigenvectors), so several gap
-        # positions can coexist; try them from the largest m down and let the
-        # density and cone validations arbitrate
-        gaps = [j for j in range(1, n)
-                if vals[j - 1] >= tol.eigen_gap * max(vals[j], 1e-300)]
-        if not gaps:
-            diag["reason"] = "rank_ambiguous"
-            return None, diag
-        candidates = sorted(gaps, reverse=True)
-    else:
-        m = int(force_m)
-        if not 1 <= m <= n:
-            raise ValueError("force_m out of range")
-        candidates = [m]
+    # a curved m-set opens a second spectral gap at scale r (curvature
+    # contributes r^2 along the normal eigenvectors), so several gap
+    # positions can coexist; try them from the largest m down and let the
+    # density and cone validations arbitrate
+    gaps = [j for j in range(1, n)
+            if vals[j - 1] >= DEFAULT_TOL.eigen_gap * max(vals[j], 1e-300)]
+    if not gaps:
+        diag["reason"] = "rank_ambiguous"
+        return None, diag
 
     attempts = []
     any_open = False
-    for m in candidates:
+    for m in sorted(gaps, reverse=True):
         cdiag: dict = {"m": m}
         T = Plane.from_spanning(vecs[:, :m].T)
         if m < n:
-            T = refine_tangent_plane(oracle, a, T,
-                                     sched.radii[-tol.fit_scales:], tol)
+            T = refine_tangent_plane(oracle, a, T, sched.radii[-DEFAULT_TOL.fit_scales:])
         cdiag["plane"] = T
         diag.setdefault("candidate_plane", T)
         diag["candidate_m"] = m
 
-        lo = lower_density(oracle, a, m, sched, tol)
+        lo = lower_density(oracle, a, m, sched)
         cdiag["lower_density"] = lo
         if lo.verdict == "limit_zero":
             cdiag["reason"] = "theta_zero"
             attempts.append(cdiag)
             continue
 
-        vii, viii = cone_condition_check(oracle, a, T, grids.eps_grid,
-                                         schedule, tol)
+        vii, viii = cone_condition_check(oracle, a, T, schedule)
         cdiag["cone_ii"], cdiag["cone_iii"] = vii, viii
         statuses = [vii.status, viii.status]
         if "fails" not in statuses:
             cone_members = []
             for row in T.basis:
                 for sign in (1.0, -1.0):
-                    v = in_lower_tangent_cone(oracle, a, m, sign * row,
-                                              grids.eps_grid, schedule, tol,
-                                              grids.eta_grid)
+                    v = _lower_cone_verdict(oracle, a, m, sign * row, schedule, lo)
                     cone_members.append(v)
                     statuses.append(v.status)
                     if v.status == "fails":
@@ -142,17 +129,14 @@ def _estimate_tangent(oracle: MeasureOracle, a, schedule: ScaleSchedule,
 
 
 def estimate_tangent_plane(oracle: MeasureOracle, a,
-                           schedule: ScaleSchedule = ScaleSchedule(),
-                           tol: Tolerances = DEFAULT_TOL,
-                           grids: Grids = DEFAULT_GRIDS,
-                           force_m: int | None = None):
+                           schedule: ScaleSchedule = ScaleSchedule()):
     """Validated approximate tangent plane at a, or None.
 
     Returns (m, Plane).  The dimension comes from the eigen-gap rule on the
-    local second-moment matrix (largest split with ratio >= eigen_gap);
-    `force_m` overrides it, in which case the validations decide alone.
+    local second-moment matrix (each split with ratio >= eigen_gap, largest
+    m first), and the density and cone validations decide among them.
     """
-    result, _ = _estimate_tangent(oracle, a, schedule, tol, grids, force_m)
+    result, _ = _estimate_tangent(oracle, a, schedule)
     return result
 
 
@@ -163,8 +147,7 @@ def estimate_tangent_plane(oracle: MeasureOracle, a,
 REFINE_ROUNDS = 3
 
 
-def refine_tangent_plane(oracle: MeasureOracle, a, T: Plane, fit_scales,
-                         tol: Tolerances = DEFAULT_TOL) -> Plane:
+def refine_tangent_plane(oracle: MeasureOracle, a, T: Plane, fit_scales) -> Plane:
     """Rotate T to kill the linear term of the local graph regression.
 
     The second-moment plane is only accurate to roughly 1e-6 in angle.  That
@@ -178,7 +161,7 @@ def refine_tangent_plane(oracle: MeasureOracle, a, T: Plane, fit_scales,
     if T.m >= T.n:
         return T
     for _ in range(REFINE_ROUNDS):
-        _, med = _scale_regression(oracle, a, T, fit_scales, (1, 2), (3, 4), 1, tol)
+        _, med = _scale_regression(oracle, a, T, fit_scales, (1, 2), (3, 4), 1)
         if med is None:
             return T
         b = med[:T.m] @ T.normal_projector
@@ -190,7 +173,7 @@ def refine_tangent_plane(oracle: MeasureOracle, a, T: Plane, fit_scales,
 
 
 def fit_homogeneous_form(oracle: MeasureOracle, a, T: Plane, i: int,
-                         fit_scales, tol: Tolerances = DEFAULT_TOL) -> HomogeneousForm:
+                         fit_scales) -> HomogeneousForm:
     """Weighted least-squares degree-i form over the given fit scales.
 
     Per scale the samples within trim_factor * r of the plane are fitted and
@@ -202,7 +185,7 @@ def fit_homogeneous_form(oracle: MeasureOracle, a, T: Plane, i: int,
     a = np.asarray(a, dtype=float)
     if T.m >= T.n:
         raise ValueError("plane has no normal directions to fit")
-    terms, med = _scale_regression(oracle, a, T, fit_scales, (i,), (i + 2,), i, tol)
+    terms, med = _scale_regression(oracle, a, T, fit_scales, (i,), (i + 2,), i)
     if med is None:
         raise ValueError(
             f"degree-{i} fit underdetermined: need {len(terms)} in-band samples")
@@ -211,7 +194,7 @@ def fit_homogeneous_form(oracle: MeasureOracle, a, T: Plane, i: int,
 
 
 def _scale_regression(oracle: MeasureOracle, a: np.ndarray, T: Plane, fit_scales,
-                      degrees, nuisance_degrees, base: int, tol: Tolerances):
+                      degrees, nuisance_degrees, base: int):
     """Per-scale weighted fits of the local graph over T, median over scales.
 
     At each scale r the samples within trim_factor * r of the plane are
@@ -231,13 +214,13 @@ def _scale_regression(oracle: MeasureOracle, a: np.ndarray, T: Plane, fit_scales
             continue
         d = pts - a
         normal = d @ T.normal_projector
-        keep = (np.linalg.norm(normal, axis=1) <= tol.trim_factor * r) & (w > 0)
+        keep = (np.linalg.norm(normal, axis=1) <= DEFAULT_TOL.trim_factor * r) & (w > 0)
         if keep.sum() < len(terms):
             continue
         chi = T.tangent_coords(d[keep]) / r
         cols = terms + nuisance if keep.sum() >= len(terms) + len(nuisance) else terms
         A = np.hstack([monomials(chi, [beta]) * r**(deg - base) for deg, beta in cols])
-        sol = _ridge_solve(A, normal[keep] / r**base, w[keep], tol.ridge)
+        sol = _ridge_solve(A, normal[keep] / r**base, w[keep], DEFAULT_TOL.ridge)
         per_scale.append(sol[:len(terms)])
     if not per_scale:
         return terms, None
@@ -335,8 +318,8 @@ def _reduction_shear(T: Plane, a: np.ndarray, poly) -> ShearMap:
 
 
 def _cylinder_condition(cur: MeasureOracle, a: np.ndarray, T: Plane,
-                        form: HomogeneousForm, i: int, schedule: ScaleSchedule,
-                        grids: Grids, tol: Tolerances) -> tuple[str, dict]:
+                        form: HomogeneousForm, i: int,
+                        schedule: ScaleSchedule) -> tuple[str, dict]:
     """Uniform mass in thin cylinders around probes lifted through the form."""
     m = T.m
     probes = [np.zeros(m)]
@@ -346,7 +329,7 @@ def _cylinder_condition(cur: MeasureOracle, a: np.ndarray, T: Plane,
         probes.extend([e, -e])
     norm = unit_ball_volume(m)
     per_eps, details = {}, {}
-    for eps in grids.eps_grid:
+    for eps in DEFAULT_GRIDS.eps_grid:
         def mass_fn(r, eps=eps):
             hull = ClosedBall(a, 2 * r)
             los, his = [], []
@@ -360,35 +343,33 @@ def _cylinder_condition(cur: MeasureOracle, a: np.ndarray, T: Plane,
             lo, hi = min(los), min(his)
             return (lo + hi) / 2, (hi - lo) / 2
 
-        status, d = eta_uniform_condition(cur, m, schedule, eps, mass_fn,
-                                          grids.eta_grid, tol, norm=norm)
+        status, d = eta_uniform_condition(cur, m, schedule, eps, mass_fn, norm=norm)
         per_eps[eps] = status
         details[eps] = d
     return combine_statuses(per_eps.values()), {"per_eps": per_eps, "eta": details}
 
 
 def _residual_condition(cur: MeasureOracle, a: np.ndarray, T: Plane,
-                        eval_fn, exponent: float, schedule: ScaleSchedule,
-                        grids: Grids, tol: Tolerances) -> tuple[str, dict]:
+                        eval_fn, exponent: float,
+                        schedule: ScaleSchedule) -> tuple[str, dict]:
     """Vanishing density of {vertical residual > eps r^exponent} per aperture."""
     residual = SharedField(_vertical_residual(T, a, eval_fn))
     per_eps, traces = {}, {}
-    for eps in grids.eps_grid:
+    for eps in DEFAULT_GRIDS.eps_grid:
         per_eps[eps], traces[eps] = vanishing_density_trace(
-            cur, a, T.m, schedule, _ResidualExcess(residual, eps, exponent), tol)
+            cur, a, T.m, schedule, _ResidualExcess(residual, eps, exponent))
     return combine_statuses(per_eps.values()), {"per_eps": per_eps, "traces": traces}
 
 
 def _hoelder_search(cur: MeasureOracle, a: np.ndarray, T: Plane, eval_fn,
-                    exponent: float, schedule: ScaleSchedule, grids: Grids,
-                    tol: Tolerances):
+                    exponent: float, schedule: ScaleSchedule):
     """Smallest dyadic lambda whose residual set has vanishing density."""
     residual = SharedField(_vertical_residual(T, a, eval_fn))
     last = ("inconclusive", None)
-    for j in sorted(grids.lambda_exponents):
+    for j in sorted(DEFAULT_GRIDS.lambda_exponents):
         lam = 2.0**j
         status, trace = vanishing_density_trace(
-            cur, a, T.m, schedule, _ResidualExcess(residual, lam, exponent), tol)
+            cur, a, T.m, schedule, _ResidualExcess(residual, lam, exponent))
         if status == "holds":
             return lam, "holds", trace
         last = (status, trace)
@@ -401,8 +382,6 @@ def _hoelder_search(cur: MeasureOracle, a: np.ndarray, T: Plane, eval_fn,
 
 def iterated_jet_fit(oracle: MeasureOracle, a, k: int, alpha: float,
                      schedule: ScaleSchedule = ScaleSchedule(),
-                     tol: Tolerances = DEFAULT_TOL,
-                     grids: Grids = DEFAULT_GRIDS,
                      tangent: tuple[int, Plane] | None = None) -> tuple[Jet, Verdict]:
     """Order-(k, alpha) jet of the set at a, with a holds/fails verdict.
 
@@ -413,7 +392,7 @@ def iterated_jet_fit(oracle: MeasureOracle, a, k: int, alpha: float,
         raise ValueError("jet order k must be >= 1")
     diag: dict = {"k": k, "alpha": alpha}
     if tangent is None:
-        est, tdiag = _estimate_tangent(oracle, a, schedule, tol, grids)
+        est, tdiag = _estimate_tangent(oracle, a, schedule)
         diag["tangent"] = tdiag
         if est is None:
             reason = tdiag.get("reason", "")
@@ -430,8 +409,8 @@ def iterated_jet_fit(oracle: MeasureOracle, a, k: int, alpha: float,
         m, T = tangent
         if k >= 2:
             try:
-                sched = schedule.clip_for(oracle, tol)
-                T = refine_tangent_plane(oracle, a, T, sched.radii[-tol.fit_scales:], tol)
+                sched = schedule.clip_for(oracle)
+                T = refine_tangent_plane(oracle, a, T, sched.radii[-DEFAULT_TOL.fit_scales:])
             except ValueError:
                 pass
     diag["m"] = m
@@ -444,7 +423,7 @@ def iterated_jet_fit(oracle: MeasureOracle, a, k: int, alpha: float,
     for i in range(2, k + 1):
         stage: dict = {"degree": i}
         try:
-            fit_sched = schedule.clip_for(cur, tol)
+            fit_sched = schedule.clip_for(cur)
         except ValueError:
             stage["error"] = "no reliable fit scales"
             stages.append(stage)
@@ -452,7 +431,7 @@ def iterated_jet_fit(oracle: MeasureOracle, a, k: int, alpha: float,
             break
         try:
             form = fit_homogeneous_form(cur, a, T, i,
-                                        fit_sched.radii[-tol.fit_scales:], tol)
+                                        fit_sched.radii[-DEFAULT_TOL.fit_scales:])
         except ValueError as exc:
             stage["error"] = str(exc)
             stages.append(stage)
@@ -460,7 +439,7 @@ def iterated_jet_fit(oracle: MeasureOracle, a, k: int, alpha: float,
             break
         stage["coefficients"] = {beta: c for beta, c in form.coefficients.items()}
 
-        cond_a, da = _cylinder_condition(cur, a, T, form, i, schedule, grids, tol)
+        cond_a, da = _cylinder_condition(cur, a, T, form, i, schedule)
         stage["cylinder_mass"] = da
         stage["cylinder_status"] = cond_a
         if cond_a != "holds":
@@ -468,7 +447,7 @@ def iterated_jet_fit(oracle: MeasureOracle, a, k: int, alpha: float,
             status, diag["stage"] = cond_a, f"cylinder_{i}"
             break
         cond_b, db = _residual_condition(cur, a, T, form.eval_coords, float(i),
-                                         schedule, grids, tol)
+                                         schedule)
         stage["residual"] = db
         stage["residual_status"] = cond_b
         stages.append(stage)
@@ -487,8 +466,7 @@ def iterated_jet_fit(oracle: MeasureOracle, a, k: int, alpha: float,
     if status == "holds" and alpha > 0:
         eval_fn = forms[k].eval_coords if k in forms else Jet.zero(a, T, k).eval_coords
         lam_found, lam_status, trace = _hoelder_search(cur, a, T, eval_fn,
-                                                       k + alpha, schedule,
-                                                       grids, tol)
+                                                       k + alpha, schedule)
         diag["hoelder"] = {"lambda": lam_found, "status": lam_status,
                            "trace": trace}
         if lam_found is None:
@@ -505,16 +483,14 @@ def iterated_jet_fit(oracle: MeasureOracle, a, k: int, alpha: float,
 
 
 def jet_uniqueness_crosscheck(oracle: MeasureOracle, a, T: Plane, k: int,
-                              schedule: ScaleSchedule = ScaleSchedule(),
-                              tol: Tolerances = DEFAULT_TOL,
-                              grids: Grids = DEFAULT_GRIDS) -> Verdict:
+                              schedule: ScaleSchedule = ScaleSchedule()) -> Verdict:
     """Direct all-degrees fit vs the iterated scheme; coefficients must agree."""
     a = np.asarray(a, dtype=float)
     m = T.m
-    sched = schedule.clip_for(oracle, tol)
-    T = refine_tangent_plane(oracle, a, T, sched.radii[-tol.fit_scales:], tol)
-    terms, med = _scale_regression(oracle, a, T, sched.radii[-tol.fit_scales:],
-                                   range(2, k + 1), (k + 1, k + 2), 2, tol)
+    fit_scales = schedule.clip_for(oracle).radii[-DEFAULT_TOL.fit_scales:]
+    T = refine_tangent_plane(oracle, a, T, fit_scales)
+    terms, med = _scale_regression(oracle, a, T, fit_scales,
+                                   range(2, k + 1), (k + 1, k + 2), 2)
     if med is None:
         return Verdict("inconclusive", {"error": "direct fit underdetermined"})
     coeffs: dict[int, dict] = {i: {} for i in range(2, k + 1)}
@@ -522,32 +498,28 @@ def jet_uniqueness_crosscheck(oracle: MeasureOracle, a, T: Plane, k: int,
         coeffs[deg][beta] = med[j] @ T.normal_projector
     direct = Jet(a, T, k, 0.0, {i: HomogeneousForm(i, T, c) for i, c in coeffs.items()})
 
-    iterated, verdict = iterated_jet_fit(oracle, a, k, 0.0, schedule, tol,
-                                         grids, tangent=(m, T))
+    iterated, verdict = iterated_jet_fit(oracle, a, k, 0.0, schedule, tangent=(m, T))
     gap = direct.max_coefficient_gap(iterated)
     diag = {"gap": gap, "direct": direct, "iterated": iterated,
             "iterated_verdict": verdict}
     if verdict.status != "holds":
         return Verdict(verdict.status, diag)
-    return Verdict("holds" if gap <= tol.tol_unique else "fails", diag)
+    return Verdict("holds" if gap <= DEFAULT_TOL.tol_unique else "fails", diag)
 
 
 def shear_invariance_check(oracle: MeasureOracle, a, jet: Jet,
-                           schedule: ScaleSchedule = ScaleSchedule(),
-                           tol: Tolerances = DEFAULT_TOL,
-                           grids: Grids = DEFAULT_GRIDS) -> Verdict:
+                           schedule: ScaleSchedule = ScaleSchedule()) -> Verdict:
     """Residual verdicts must survive shearing the jet graph flat."""
     a = np.asarray(a, dtype=float)
     T = jet.plane
     k = jet.degree
-    pre, dpre = _residual_condition(oracle, a, T, jet.eval_coords, float(k),
-                                    schedule, grids, tol)
+    pre, dpre = _residual_condition(oracle, a, T, jet.eval_coords, float(k), schedule)
 
     shear = _reduction_shear(T, a, jet.eval_coords)
     flat = MappedOracle(oracle, shear.apply, shear.invert,
                         shear_displacement_bound(T, a, jet.forms.values()))
     post, dpost = _residual_condition(flat, a, T, Jet.zero(a, T, k).eval_coords,
-                                      float(k), schedule, grids, tol)
+                                      float(k), schedule)
     diag = {"before": dpre, "after": dpost, "before_status": pre,
             "after_status": post}
     if "inconclusive" in (pre, post):

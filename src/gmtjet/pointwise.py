@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 from .density import (
     VANISHING_CLIP,
     ScaleSchedule,
@@ -18,6 +18,7 @@ from .density import (
     decide_verdict,
     settle_vanishing,
     upper_density,
+    vanishing_status,
 )
 from .geometry import (
     Complement,
@@ -102,30 +103,22 @@ def _cone_trace(target, a, v, schedule: ScaleSchedule):
     return vals
 
 
-def _cone_verdict(target, a, v, schedule, window_fn, tol) -> Verdict:
+def _cone_verdict(target, a, v, schedule, window_fn) -> Verdict:
     vals = _cone_trace(target, a, v, schedule)
-    verdict, est = decide_verdict(vals, np.zeros_like(vals), window_fn, tol)
-    if verdict == "limit_zero":
-        status = "holds"
-    elif verdict in ("limit_positive", "diverges"):
-        status = "fails"
-    else:
-        status = "inconclusive"
-    return Verdict(status, {"trace_verdict": verdict, "estimate": est,
+    verdict, est = decide_verdict(vals, np.zeros_like(vals), window_fn)
+    return Verdict(vanishing_status(verdict), {"trace_verdict": verdict, "estimate": est,
                             "radii": [float(r) for r in schedule.radii],
                             "ratios": [float(t) for t in vals]})
 
 
-def in_pt_upper_cone(target, a, v, schedule: ScaleSchedule = ScaleSchedule(),
-                     tol: Tolerances = DEFAULT_TOL) -> Verdict:
+def in_pt_upper_cone(target, a, v, schedule: ScaleSchedule = ScaleSchedule()) -> Verdict:
     """liminf of delta(a + r v) / r over the schedule vanishes."""
-    return _cone_verdict(target, a, v, schedule, np.min, tol)
+    return _cone_verdict(target, a, v, schedule, np.min)
 
 
-def in_pt_lower_cone(target, a, v, schedule: ScaleSchedule = ScaleSchedule(),
-                     tol: Tolerances = DEFAULT_TOL) -> Verdict:
+def in_pt_lower_cone(target, a, v, schedule: ScaleSchedule = ScaleSchedule()) -> Verdict:
     """limsup of delta(a + r v) / r over the schedule vanishes."""
-    return _cone_verdict(target, a, v, schedule, np.max, tol)
+    return _cone_verdict(target, a, v, schedule, np.max)
 
 
 def direction_net(n: int) -> list[np.ndarray]:
@@ -160,7 +153,6 @@ def _tangent_probe_net(T: Plane) -> list[np.ndarray]:
 
 
 def pt_diff_order1_test(target, a, schedule: ScaleSchedule = ScaleSchedule(),
-                        tol: Tolerances = DEFAULT_TOL,
                         oracle: MeasureOracle | None = None) -> Plane | None:
     """First-order pointwise differentiability: a validated tangent plane.
 
@@ -183,8 +175,8 @@ def pt_diff_order1_test(target, a, schedule: ScaleSchedule = ScaleSchedule(),
 
     accepted, rejected = [], []
     for v in direction_net(n):
-        up = in_pt_upper_cone(target, a, v, schedule, tol)
-        lo = in_pt_lower_cone(target, a, v, schedule, tol)
+        up = in_pt_upper_cone(target, a, v, schedule)
+        lo = in_pt_lower_cone(target, a, v, schedule)
         if "inconclusive" in (up.status, lo.status):
             return None
         if up.status != lo.status:
@@ -205,16 +197,16 @@ def pt_diff_order1_test(target, a, schedule: ScaleSchedule = ScaleSchedule(),
     else:
         T = Plane.from_spanning(vecs[:m])
     for v in accepted:
-        if np.linalg.norm(v @ T.normal_projector) > tol.angle_tol:
+        if np.linalg.norm(v @ T.normal_projector) > DEFAULT_TOL.angle_tol:
             return None
     for v in rejected:
-        if np.linalg.norm(v @ T.normal_projector) <= tol.angle_tol:
+        if np.linalg.norm(v @ T.normal_projector) <= DEFAULT_TOL.angle_tol:
             return None
 
     # set stays uniformly close to the plane; only scales the oracle can
     # resolve are queried, or empty balls would fake a vanishing trace
     try:
-        clipped = schedule.clip_for(oracle, tol, factor=VANISHING_CLIP)
+        clipped = schedule.clip_for(oracle, factor=VANISHING_CLIP)
     except ValueError:
         return None
     # the trace must spend about two windows below the zero threshold while
@@ -222,7 +214,7 @@ def pt_diff_order1_test(target, a, schedule: ScaleSchedule = ScaleSchedule(),
     # the oracle's resolvable range; re-grade it at the slowest ratio the
     # halving test tolerates
     q = 0.85
-    min_len = 3 * tol.trailing_window - 1
+    min_len = 3 * DEFAULT_TOL.trailing_window - 1
     J = int(np.log(float(clipped.radii[-1]) / schedule.r0) / np.log(q))
     if J < min_len:
         return None
@@ -235,7 +227,7 @@ def pt_diff_order1_test(target, a, schedule: ScaleSchedule = ScaleSchedule(),
             continue
         normal = (pts - a) @ T.normal_projector
         vals.append(float(np.linalg.norm(normal, axis=1).max()) / float(r))
-    verdict, _ = decide_verdict(np.array(vals), np.zeros(len(vals)), np.max, tol)
+    verdict, _ = decide_verdict(np.array(vals), np.zeros(len(vals)), np.max)
     if verdict != "limit_zero":
         return None
 
@@ -250,7 +242,7 @@ def pt_diff_order1_test(target, a, schedule: ScaleSchedule = ScaleSchedule(),
             for f in fracs:
                 worst = max(worst, dist(a + f * float(r) * u))
         vals.append(worst / float(r))
-    verdict, _ = decide_verdict(np.array(vals), np.zeros(len(vals)), np.max, tol)
+    verdict, _ = decide_verdict(np.array(vals), np.zeros(len(vals)), np.max)
     if verdict != "limit_zero":
         return None
     return T
@@ -301,8 +293,7 @@ class CarvedRegion(Region):
 
 
 def carve_full_density_subset(oracle: MeasureOracle, a, jet: Jet,
-                              schedule: ScaleSchedule = ScaleSchedule(),
-                              tol: Tolerances = DEFAULT_TOL):
+                              schedule: ScaleSchedule = ScaleSchedule()):
     """The subset B of the set on which the jet controls every point.
 
     Returns (sub_oracle, verdict).  The verdict holds when the removed mass
@@ -313,9 +304,8 @@ def carve_full_density_subset(oracle: MeasureOracle, a, jet: Jet,
     region = CarvedRegion(a, jet, schedule.radii)
     carved = oracle.restrict(region)
     removed = oracle.restrict(Complement(region))
-    trace = upper_density(removed, a, jet.plane.m, schedule, tol,
-                          clip_factor=VANISHING_CLIP)
-    status = settle_vanishing(oracle, trace, jet.plane.m, tol)
+    trace = upper_density(removed, a, jet.plane.m, schedule, clip_factor=VANISHING_CLIP)
+    status = settle_vanishing(oracle, trace, jet.plane.m)
     return carved, Verdict(status, {"removed_trace": trace})
 
 
@@ -323,8 +313,7 @@ def carve_full_density_subset(oracle: MeasureOracle, a, jet: Jet,
 # touching balls
 
 
-def touching_ball_check(target, a, nu, r: float, jet_or_sff,
-                        tol: Tolerances = DEFAULT_TOL) -> Verdict:
+def touching_ball_check(target, a, nu, r: float, jet_or_sff) -> Verdict:
     """Empty open ball of radius r on the nu side, and the curvature bound.
 
     The ball U(a + r nu, r) must miss the set (otherwise the verdict is
@@ -340,7 +329,7 @@ def touching_ball_check(target, a, nu, r: float, jet_or_sff,
 
     delta = distance_to_set(target, a + r * nu)
     diag: dict = {"ball_distance": delta, "r": r}
-    if delta < r - tol.touching_tol:
+    if delta < r - DEFAULT_TOL.touching_tol:
         return Verdict("precondition_failed", diag)
 
     if isinstance(jet_or_sff, Jet):
@@ -354,4 +343,4 @@ def touching_ball_check(target, a, nu, r: float, jet_or_sff,
         val = float(np.dot(b(v, v), nu))
         worst = max(worst, val - float(np.dot(v, v)) / r)
     diag["max_violation"] = worst
-    return Verdict("holds" if worst <= tol.touching_tol else "fails", diag)
+    return Verdict("holds" if worst <= DEFAULT_TOL.touching_tol else "fails", diag)

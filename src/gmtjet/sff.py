@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_GRIDS, DEFAULT_TOL, Grids, Tolerances
+from .config import DEFAULT_GRIDS
 from .density import Verdict
 from .geometry import Jet, Plane, apply_differential, jet_to_full_differential
 
@@ -68,14 +68,13 @@ def _richardson(samples: list[np.ndarray], ratio: float) -> np.ndarray:
     return out[0]
 
 
-def normal_field_identity_check(fixture, a, jet: Jet | None = None,
-                                grids: Grids = DEFAULT_GRIDS,
-                                tol: Tolerances = DEFAULT_TOL) -> Verdict:
+def normal_field_identity_check(fixture, a) -> Verdict:
     """D nu(u) . v = -sff(u, v) . nu along the fixture's normal field.
 
-    The derivative of nu is taken by central differences in the chart
-    parameters with the steps in grids.fd_steps, Richardson-extrapolated,
-    and divided by the metric factor so u is a unit tangent vector.
+    The form comes from the fixture's order-2 jet at a.  The derivative of
+    nu is taken by central differences in the chart parameters with the
+    steps in DEFAULT_GRIDS.fd_steps, Richardson-extrapolated, and divided by
+    the metric factor so u is a unit tangent vector.
     """
     from .fixtures import point_key
 
@@ -83,9 +82,7 @@ def normal_field_identity_check(fixture, a, jet: Jet | None = None,
     chart = fixture.sff_charts.get(point_key(a))
     if chart is None:
         raise ValueError(f"no normal-field chart at {a}")
-    if jet is None:
-        jet = fixture.jets[point_key(a)]
-    form = approximate_sff(jet)
+    form = approximate_sff(fixture.jets[point_key(a)])
 
     t0 = np.asarray(chart.t0, dtype=float)
     nu0 = chart.normal(t0[None, :])[0]
@@ -95,7 +92,7 @@ def normal_field_identity_check(fixture, a, jet: Jet | None = None,
     # the field must be unit and orthogonal to the chart directions
     probes = [t0]
     for p in range(jac.shape[1]):
-        for h in grids.fd_steps:
+        for h in DEFAULT_GRIDS.fd_steps:
             e = np.zeros_like(t0)
             e[p] = h
             probes.extend([t0 + e, t0 - e])
@@ -110,7 +107,7 @@ def normal_field_identity_check(fixture, a, jet: Jet | None = None,
                 return Verdict("precondition_failed",
                                {"reason": "nu not normal to the chart"})
 
-    ratio = float(grids.fd_steps[0] / grids.fd_steps[1])
+    ratio = float(DEFAULT_GRIDS.fd_steps[0] / DEFAULT_GRIDS.fd_steps[1])
     worst = 0.0
     pairs = []
     for p in range(jac.shape[1]):
@@ -118,7 +115,7 @@ def normal_field_identity_check(fixture, a, jet: Jet | None = None,
         scale = float(np.linalg.norm(col))
         u = col / scale
         diffs = []
-        for h in grids.fd_steps:
+        for h in DEFAULT_GRIDS.fd_steps:
             e = np.zeros_like(t0)
             e[p] = h
             plus = chart.normal(np.atleast_2d(t0 + e))[0]

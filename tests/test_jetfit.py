@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gmtjet.density import ScaleSchedule
+from gmtjet import density
+from gmtjet.density import ScaleSchedule, in_lower_tangent_cone
 from gmtjet.fixtures import make_fixture
 from gmtjet.geometry import HomogeneousForm, Jet, Plane
-from gmtjet.config import DEFAULT_GRIDS, DEFAULT_TOL
 from gmtjet.jetfit import (
     _residual_condition,
     estimate_tangent_plane,
@@ -82,9 +82,30 @@ def test_comb_has_no_tangent():
 def test_forced_wrong_dimension_rejected(line):
     # the full plane passes the density screens on a line, but the lower
     # cone test in the normal direction kills it
-    out = estimate_tangent_plane(line.oracle, np.zeros(2), line.schedule,
-                                 force_m=2)
-    assert out is None
+    e2 = np.array([0.0, 1.0])
+    verdict = in_lower_tangent_cone(line.oracle, np.zeros(2), 2, e2,
+                                    schedule=line.schedule)
+    assert verdict.status == "fails"
+
+
+@pytest.mark.parametrize("name", ["line", "graph_poly"])
+def test_tangent_candidate_traces_lower_density_once(monkeypatch, name):
+    # the lower-cone checks of a candidate plane reuse the candidate's own
+    # lower-density trace instead of tracing it again
+    fx = make_fixture(name)
+    real, windows = density._trace, []
+
+    def counting(oracle, a, m, schedule, window_fn, *args, **kwargs):
+        windows.append(window_fn)
+        return real(oracle, a, m, schedule, window_fn, *args, **kwargs)
+
+    monkeypatch.setattr(density, "_trace", counting)
+    _, verdict = iterated_jet_fit(fx.oracle, np.zeros(2), 1, 0.0, fx.schedule)
+    assert verdict.status == "holds"
+    diag = verdict.diagnostics["tangent"]
+    assert len(diag["validation"]["lower_cone"]) == 2 * verdict.diagnostics["m"]
+    candidates = len(diag["attempts"]) + 1
+    assert sum(fn is np.min for fn in windows) == candidates
 
 
 def test_refine_kills_artificial_tilt(cubic):
@@ -258,8 +279,7 @@ def test_uniqueness_crosscheck(cubic, cubic_jet):
 def test_graph_residual_verification(cubic, cubic_jet):
     jet, _ = cubic_jet
     status, _ = _residual_condition(cubic.oracle, np.zeros(2), jet.plane,
-                                    jet.eval_coords, 3.0, cubic.schedule,
-                                    DEFAULT_GRIDS, DEFAULT_TOL)
+                                    jet.eval_coords, 3.0, cubic.schedule)
     assert status == "holds"
 
 
@@ -269,8 +289,7 @@ def test_graph_residual_rejects_wrong_jet(cubic, cubic_jet):
                 {2: HomogeneousForm(2, jet.plane,
                                     {(2,): np.array([0.0, 0.9])})})
     status, _ = _residual_condition(cubic.oracle, np.zeros(2), jet.plane,
-                                    wrong.eval_coords, 2.0, cubic.schedule,
-                                    DEFAULT_GRIDS, DEFAULT_TOL)
+                                    wrong.eval_coords, 2.0, cubic.schedule)
     assert status == "fails"
 
 
