@@ -115,6 +115,15 @@ def _load_input(spec: str):
     return oracle, ScaleSchedule().decisive_for(oracle), None
 
 
+def _write_out(path: str, write) -> None:
+    """write(fp) into path; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w") as fp:
+            write(fp)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc}")
+
+
 def _verdict_exit(status: str) -> int:
     if status == "holds":
         return EXIT_HOLDS
@@ -142,10 +151,11 @@ def cmd_fixture(args) -> int:
     # segment-backed oracles quantize to their sampling density; emit them
     # fine enough that re-analysis of the file resolves the default schedule
     cloud = fx.sample_cloud(per_piece=32768)
-    write_cloud(cloud, fx.m, args.out)
+    # the cloud first: a ground truth is never left without its cloud
+    _write_out(args.out, lambda fp: write_cloud(cloud, fx.m, fp))
     gt_path = args.out + ".gt.json"
-    with open(gt_path, "w") as fp:
-        json.dump(jsonable(ground_truth_report(fx)), fp, sort_keys=True, indent=2)
+    _write_out(gt_path, lambda fp: json.dump(jsonable(ground_truth_report(fx)), fp,
+                                             sort_keys=True, indent=2))
     print(f"wrote {len(cloud.weights)} samples to {args.out}, "
           f"ground truth to {gt_path}")
     return EXIT_HOLDS
@@ -223,8 +233,7 @@ def cmd_analyze(args) -> int:
     report, code = run_analysis(oracle, a, args.order, args.alpha, schedule)
     report["input"] = args.input
     if args.out:
-        with open(args.out, "w") as fp:
-            json.dump(report, fp, sort_keys=True, indent=2)
+        _write_out(args.out, lambda fp: json.dump(report, fp, sort_keys=True, indent=2))
     else:
         json.dump(report, sys.stdout, sort_keys=True, indent=2)
         print()
@@ -515,8 +524,7 @@ def cmd_verify(args) -> int:
         print(f"{name:12s} {'PASS' if ok else 'FAIL':4s} "
               f"({len(checks)} checks, {elapsed:.1f}s)")
     if args.out:
-        with open(args.out, "w") as fp:
-            json.dump(results, fp, sort_keys=True, indent=2)
+        _write_out(args.out, lambda fp: json.dump(results, fp, sort_keys=True, indent=2))
     return EXIT_HOLDS if all_pass else EXIT_FAILS
 
 
@@ -533,12 +541,23 @@ def cmd_plot_data(args) -> int:
     traces = report.get("traces")
     if not isinstance(traces, list) or not 0 <= args.index < len(traces):
         raise UsageError(f"report has no trace at index {args.index}")
-    entries = traces[args.index].get("entries", [])
-    with open(args.out, "w") as fp:
+    trace = traces[args.index]
+    entries = trace.get("entries", []) if isinstance(trace, dict) else None
+    if not isinstance(entries, list) or not all(_is_trace_entry(e) for e in entries):
+        raise UsageError(f"trace {args.index} has no list of [r, ratio, err] entries")
+
+    def write(fp):
         fp.write("r,ratio,err\n")
         for r, ratio, err in entries:
             fp.write(f"{r!r},{ratio!r},{err!r}\n")
+
+    _write_out(args.out, write)
     return EXIT_HOLDS
+
+
+def _is_trace_entry(entry) -> bool:
+    return isinstance(entry, list) and len(entry) == 3 and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
 
 
 # ---------------------------------------------------------------------------

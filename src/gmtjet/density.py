@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -196,9 +196,8 @@ def _trace(oracle: MeasureOracle, a, m: int, schedule: ScaleSchedule, window_fn,
     return DensityTrace(a, m, schedule, entries, verdict, est)
 
 
-def upper_density(oracle: MeasureOracle, a, m: int, schedule: ScaleSchedule,
-                  clip_factor: float | None = None) -> DensityTrace:
-    return _trace(oracle, a, m, schedule, np.max, clip_factor=clip_factor)
+def upper_density(oracle: MeasureOracle, a, m: int, schedule: ScaleSchedule) -> DensityTrace:
+    return _trace(oracle, a, m, schedule, np.max)
 
 
 def lower_density(oracle: MeasureOracle, a, m: int, schedule: ScaleSchedule) -> DensityTrace:
@@ -469,6 +468,35 @@ class FnPositive(Region):
         return np.asarray(self.g(np.atleast_2d(X))) > 0
 
 
+class Exceeds(Family):
+    """B(a, r) ^ {x : field(x) > scale * r^exponent}.
+
+    The field is a SharedField, so the traces of one condition (several
+    apertures or lambdas) read it once; `region(r)` is the FnPositive that
+    oracles without a trace engine measure.
+    """
+
+    def __init__(self, field: SharedField, scale: float, exponent: float):
+        self.field, self.scale, self.exponent = field, scale, exponent
+
+    def region(self, r):
+        thresh = self.scale * r**self.exponent
+        return FnPositive(lambda X: self.field.fn(X) - thresh)
+
+    def keep(self, values, r):
+        return values - self.scale * r**self.exponent > 0
+
+
+def _transfer_families(f, a: np.ndarray, gamma: float, lam: float) -> tuple[Exceeds, Exceeds]:
+    """The hypothesis family B(a, r) ^ {|f| > lam r^gamma}, and the
+    conclusion family B(a, r) ^ {|f(x)| > 2^gamma lam |x - a|^gamma}, whose
+    threshold moves with x, not with r."""
+    size = SharedField(lambda X: np.abs(f(X)))
+    excess = SharedField(lambda X: np.abs(f(X))
+                         - 2 ** gamma * lam * np.linalg.norm(np.atleast_2d(X) - a, axis=1) ** gamma)
+    return Exceeds(size, lam, gamma), Exceeds(excess, 0.0, 0.0)
+
+
 def density_transfer_check(domain_oracle: MeasureOracle,
                            f: Callable[[np.ndarray], np.ndarray],
                            a, gamma: float, lam: float, M: float,
@@ -476,32 +504,53 @@ def density_transfer_check(domain_oracle: MeasureOracle,
     """Hypothesis: the sublevel failure set {|f| > lam r^gamma} has density < M
     in B(a,r) at every scale.  Conclusion checked: the density of
     {|f(x)| > 2^gamma lam |x - a|^gamma} stays below M (1 - 2^-m)^-1.
+
+    Each is one density trace.  `f` maps (N, n) points to (N,) values and
+    must treat every row alone: a trace evaluates it once on the rows of
+    its largest ball and reads each radius from those values.  The
+    diagnostics carry both traces; precondition_failed names the first
+    scale at which the hypothesis fails.
     """
     a = np.asarray(a, dtype=float)
     m = domain_oracle.m
-    norm_of = lambda r: unit_ball_volume(m) * r ** m
-    schedule = schedule.clip_for(domain_oracle)
     bound = M / (1 - 2.0 ** -m)
-    hyp_rows, con_rows = [], []
-    for r in schedule.radii:
-        r = float(r)
-        bad = FnPositive(lambda X, r=r: np.abs(f(X)) - lam * r ** gamma)
-        val, err = domain_oracle.mass(Intersection(ClosedBall(a, r), bad))
-        hyp = val / norm_of(r)
-        hyp_rows.append((r, hyp, err / norm_of(r)))
-        if hyp - err / norm_of(r) >= M:
+    hyp_family, con_family = _transfer_families(f, a, gamma, lam)
+    hyp = _trace(domain_oracle, a, m, schedule, np.max, family=hyp_family)
+    for r, ratio, err in hyp.entries:
+        if ratio - err >= M:
             return Verdict("precondition_failed",
-                           {"scale": r, "hypothesis_ratio": hyp, "M": M})
-        worse = FnPositive(lambda X: np.abs(f(X))
-                           - 2 ** gamma * lam * np.linalg.norm(np.atleast_2d(X) - a, axis=1) ** gamma)
-        val, err = domain_oracle.mass(Intersection(ClosedBall(a, r), worse))
-        con_rows.append((r, val / norm_of(r), err / norm_of(r)))
-    diag = {"hypothesis": hyp_rows, "conclusion": con_rows, "bound": bound}
-    if all(v + e < bound for _, v, e in con_rows):
+                           {"scale": r, "hypothesis_ratio": ratio, "M": M, "hypothesis": hyp})
+    con = _trace(domain_oracle, a, m, schedule, np.max, family=con_family)
+    diag = {"hypothesis": hyp, "conclusion": con, "bound": bound}
+    if all(v + e < bound for _, v, e in con.entries):
         return Verdict("holds", diag)
-    if any(v - e >= bound for _, v, e in con_rows):
+    if any(v - e >= bound for _, v, e in con.entries):
         return Verdict("fails", diag)
     return Verdict("inconclusive", diag)
+
+
+# ---------------------------------------------------------------------------
+# local second moments
+
+
+def local_moments(oracle: MeasureOracle, a, radii) -> tuple[np.ndarray, np.ndarray] | None:
+    """Eigenvalues and eigenvectors (as columns), largest first, of the
+    weighted second-moment matrix of (x - a) / r, averaged over the radii
+    whose balls hold mass; None when none does."""
+    a = np.asarray(a, dtype=float)
+    cov = np.zeros((oracle.n, oracle.n))
+    used = 0
+    for r in radii:
+        pts, w = oracle.samples_in_ball(a, float(r))
+        if len(pts) == 0 or w.sum() <= 0:
+            continue
+        d = (pts - a) / float(r)
+        cov += (d * w[:, None]).T @ d / w.sum()
+        used += 1
+    if used == 0:
+        return None
+    vals, vecs = np.linalg.eigh(cov / used)
+    return vals[::-1], vecs[:, ::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -526,59 +575,35 @@ def _bump_family(n: int, rho: float = 0.5):
     return [(c, make(c)) for c in centers], rho
 
 
-def _plane_integral(plane: Plane, fn, c: np.ndarray, rho: float,
-                    resolution: int = 256) -> float:
-    """Integral of fn over the plane through 0, supported in B(c, rho)."""
+def _plane_integral(plane: Plane, fn, c: np.ndarray, rho: float) -> float:
+    """Integral of fn over the plane through 0, supported in B(c, rho), by
+    the midpoint rule on 256 cells per axis."""
     c_t = plane.tangential(c)
     offset2 = float(np.dot(c - c_t, c - c_t))
     if offset2 >= rho ** 2:
         return 0.0
     rad = math.sqrt(rho ** 2 - offset2)
     m = plane.m
-    axes = [np.linspace(-rad, rad, resolution, endpoint=False) + rad / resolution
+    cells = 256
+    axes = [np.linspace(-rad, rad, cells, endpoint=False) + rad / cells
             for _ in range(m)]
     grids = np.meshgrid(*axes, indexing="ij")
     chi = np.stack([g.ravel() for g in grids], axis=1)
     pts = plane.from_coords(chi + plane.tangent_coords(c_t[None, :]))
-    cell = (2 * rad / resolution) ** m
+    cell = (2 * rad / cells) ** m
     return float(fn(pts).sum() * cell)
-
-
-def _candidate_planes(base: Plane, n: int) -> list[Plane]:
-    cands = [base]
-    normal = base.normal_basis()
-    for i in range(base.m):
-        for n_row in normal:
-            for ang in (0.05, -0.05, 0.15, -0.15):
-                tilted = base.basis.copy()
-                tilted[i] = math.cos(ang) * base.basis[i] + math.sin(ang) * n_row
-                cands.append(Plane.from_spanning(tilted))
-    return cands
-
-
-def estimate_plane_pca(oracle: MeasureOracle, a, m: int,
-                       radii: Sequence[float]) -> Plane | None:
-    """Weighted second-moment plane from samples at the given radii."""
-    a = np.asarray(a, dtype=float)
-    best = None
-    for r in radii:
-        pts, w = oracle.samples_in_ball(a, float(r))
-        if len(pts) < 2 * m or w.sum() <= 0:
-            continue
-        d = (pts - a) / r
-        cov = (d * w[:, None]).T @ d / w.sum()
-        vals, vecs = np.linalg.eigh(cov)
-        best = Plane.from_spanning(vecs[:, ::-1][:, :m].T)
-    return best
 
 
 def blow_up_tangent(oracle: MeasureOracle, a, m: int,
                     schedule: ScaleSchedule = ScaleSchedule()):
     """Rescaled-integral tangent plane in the functional sense.
 
-    Returns (plane, theta_hat) when r^-m integrals of the probe bumps against
-    the rescaled measure stabilize and match theta times the plane integrals
-    for a candidate plane; returns None otherwise.
+    The r^-m integrals of the probe bumps against the measure rescaled about
+    a must stabilize over the trailing scales.  The plane scored is the
+    tangent stage's: the top m eigenvectors of `local_moments` at the three
+    finest clipped radii.  Returns (plane, theta_hat) when the probe limits
+    match theta times the plane integrals for one theta > 0 (zero limits
+    where the plane misses a probe); returns None otherwise.
     """
     a = np.asarray(a, dtype=float)
     n = oracle.n
@@ -587,15 +612,18 @@ def blow_up_tangent(oracle: MeasureOracle, a, m: int,
     probe_fns, rho = _bump_family(n)
     support = 0.5 + rho  # centers at distance <= 1/2
 
-    # empirical traces per probe
+    def rescaled_integral(fn, r):
+        """r^-m times the integral of fn((x - a) / r) over the set; the
+        samples are freed on return, before the next radius fetches its own."""
+        pts, wts = oracle.samples_in_ball(a, support * r)
+        integ = float(np.dot(wts, fn((pts - a) / r))) if len(pts) else 0.0
+        return integ / r ** m
+
+    # empirical traces per probe, the first unstable one deciding
     w = DEFAULT_TOL.trailing_window
     limits = []
     for c, fn in probe_fns:
-        vals = []
-        for r in radii:
-            r = float(r)
-            integ = oracle.integral_in_ball(lambda X: fn((X - a) / r), a, support * r)
-            vals.append(integ / r ** m)
+        vals = [rescaled_integral(fn, float(r)) for r in radii]
         trail = np.array(vals[-w:])
         spread = trail.max() - trail.min()
         level = max(abs(trail).max(), 1e-300)
@@ -605,31 +633,21 @@ def blow_up_tangent(oracle: MeasureOracle, a, m: int,
             return None
         limits.append(float(trail.mean()))
 
-    pca = estimate_plane_pca(oracle, a, m, radii[-3:])
-    if pca is None:
+    moments = local_moments(oracle, a, radii[-3:])
+    if moments is None:
         return None
-    best = None
-    for plane in _candidate_planes(pca, n):
-        thetas = []
-        consistent = True
-        for (c, fn), lim in zip(probe_fns, limits):
-            pint = _plane_integral(plane, fn, c, rho)
-            if pint < DEFAULT_TOL.tol_zero:
-                if abs(lim) > DEFAULT_TOL.tol_zero:
-                    consistent = False
-                    break
-                continue
-            thetas.append(lim / pint)
-        if not consistent or not thetas:
+    plane = Plane.from_spanning(moments[1][:, :m].T)
+    thetas = []
+    for (c, fn), lim in zip(probe_fns, limits):
+        pint = _plane_integral(plane, fn, c, rho)
+        if pint < DEFAULT_TOL.tol_zero:
+            if abs(lim) > DEFAULT_TOL.tol_zero:
+                return None
             continue
-        thetas = np.array(thetas)
-        if thetas.min() <= 0:
-            continue
-        spread = (thetas.max() - thetas.min()) / thetas.mean()
-        if spread < 2 * DEFAULT_TOL.positive_spread:
-            score = spread
-            if best is None or score < best[0]:
-                best = (score, plane, float(thetas.mean()))
-    if best is None:
+        thetas.append(lim / pint)
+    if not thetas or min(thetas) <= 0:
         return None
-    return best[1], best[2]
+    thetas = np.array(thetas)
+    if (thetas.max() - thetas.min()) / thetas.mean() < 2 * DEFAULT_TOL.positive_spread:
+        return plane, float(thetas.mean())
+    return None

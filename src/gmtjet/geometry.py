@@ -84,14 +84,6 @@ class Plane:
             basis[row, ax] = 1.0
         return Plane(basis)
 
-    def normal_basis(self) -> np.ndarray:
-        """Orthonormal basis of the orthogonal complement, (n-m, n)."""
-        if self.m == self.n:
-            return np.zeros((0, self.n))
-        # deterministic: orthonormalize the residuals of the coordinate axes
-        residual = self.normal_projector
-        return _pivoted_orthonormalize(residual)
-
     def tangent_coords(self, x: np.ndarray) -> np.ndarray:
         """Coordinates of T_nat(x) in the plane basis; works on batches."""
         return np.asarray(x, dtype=float) @ self.basis.T

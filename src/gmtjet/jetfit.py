@@ -15,13 +15,14 @@ import numpy as np
 from .config import DEFAULT_GRIDS, DEFAULT_TOL
 from .density import (
     DensityTrace,
-    FnPositive,
+    Exceeds,
     ScaleSchedule,
     Verdict,
     _lower_cone_verdict,
     combine_statuses,
     cone_condition_check,
     eta_uniform_condition,
+    local_moments,
     lower_density,
     vanishing_density_trace,
 )
@@ -36,7 +37,7 @@ from .geometry import (
     monomials,
     multi_indices,
 )
-from .measure import Family, MappedOracle, MeasureOracle, SharedField, unit_ball_volume
+from .measure import MappedOracle, MeasureOracle, SharedField, unit_ball_volume
 
 
 # ---------------------------------------------------------------------------
@@ -53,20 +54,11 @@ def _estimate_tangent(oracle: MeasureOracle, a, schedule: ScaleSchedule):
         diag["reason"] = "schedule_too_coarse"
         return None, diag
 
-    cov = np.zeros((n, n))
-    used = 0
-    for r in sched.radii[-3:]:
-        pts, w = oracle.samples_in_ball(a, float(r))
-        if len(pts) == 0 or w.sum() <= 0:
-            continue
-        d = (pts - a) / float(r)
-        cov += (d * w[:, None]).T @ d / w.sum()
-        used += 1
-    if used == 0:
+    moments = local_moments(oracle, a, sched.radii[-3:])
+    if moments is None:
         diag["reason"] = "no_local_mass"
         return None, diag
-    vals, vecs = np.linalg.eigh(cov / used)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
+    vals, vecs = moments
     diag["eigenvalues"] = [float(v) for v in vals]
 
     # a curved m-set opens a second spectral gap at scale r (curvature
@@ -265,25 +257,6 @@ def _vertical_residual(T: Plane, a: np.ndarray, eval_fn):
     return residual
 
 
-class _ResidualExcess(Family):
-    """B(a, r) ^ {x : vertical residual of x > scale * r^exponent}.
-
-    The field is one condition's `_vertical_residual`, shared by its
-    apertures or lambdas; `region(r)` is the FnPositive that oracles without
-    a trace engine measure.
-    """
-
-    def __init__(self, residual: SharedField, scale: float, exponent: float):
-        self.field, self.scale, self.exponent = residual, scale, exponent
-
-    def region(self, r):
-        thresh = self.scale * r**self.exponent
-        return FnPositive(lambda X: self.field.fn(X) - thresh)
-
-    def keep(self, values, r):
-        return values - self.scale * r**self.exponent > 0
-
-
 def shear_displacement_bound(T: Plane, a, forms):
     """Bound on the vertical shift of the reduction shear over B(center, radius)."""
     a = np.asarray(a, dtype=float)
@@ -357,7 +330,7 @@ def _residual_condition(cur: MeasureOracle, a: np.ndarray, T: Plane,
     per_eps, traces = {}, {}
     for eps in DEFAULT_GRIDS.eps_grid:
         per_eps[eps], traces[eps] = vanishing_density_trace(
-            cur, a, T.m, schedule, _ResidualExcess(residual, eps, exponent))
+            cur, a, T.m, schedule, Exceeds(residual, eps, exponent))
     return combine_statuses(per_eps.values()), {"per_eps": per_eps, "traces": traces}
 
 
@@ -369,7 +342,7 @@ def _hoelder_search(cur: MeasureOracle, a: np.ndarray, T: Plane, eval_fn,
     for j in sorted(DEFAULT_GRIDS.lambda_exponents):
         lam = 2.0**j
         status, trace = vanishing_density_trace(
-            cur, a, T.m, schedule, _ResidualExcess(residual, lam, exponent))
+            cur, a, T.m, schedule, Exceeds(residual, lam, exponent))
         if status == "holds":
             return lam, "holds", trace
         last = (status, trace)
@@ -459,8 +432,7 @@ def iterated_jet_fit(oracle: MeasureOracle, a, k: int, alpha: float,
             # a zero form shears by the identity; skip the wrapper so exact
             # backends keep their analytic region handling
             shear = _reduction_shear(T, a, form.eval_coords)
-            cur = MappedOracle(cur, shear.apply, shear.invert,
-                               shear_displacement_bound(T, a, [form]))
+            cur = MappedOracle(cur, shear.apply, shear_displacement_bound(T, a, [form]))
     diag["stages"] = stages
 
     if status == "holds" and alpha > 0:
@@ -516,7 +488,7 @@ def shear_invariance_check(oracle: MeasureOracle, a, jet: Jet,
     pre, dpre = _residual_condition(oracle, a, T, jet.eval_coords, float(k), schedule)
 
     shear = _reduction_shear(T, a, jet.eval_coords)
-    flat = MappedOracle(oracle, shear.apply, shear.invert,
+    flat = MappedOracle(oracle, shear.apply,
                         shear_displacement_bound(T, a, jet.forms.values()))
     post, dpost = _residual_condition(flat, a, T, Jet.zero(a, T, k).eval_coords,
                                       float(k), schedule)

@@ -388,14 +388,6 @@ class MeasureOracle:
     def restrict(self, region: Region) -> "MeasureOracle":
         return RestrictedOracle(self, region)
 
-    def integral_in_ball(self, fn: Callable[[np.ndarray], np.ndarray],
-                         center: np.ndarray, radius: float) -> float:
-        """Approximate integral of fn over the set within B(center, radius)."""
-        pts, w = self.samples_in_ball(center, radius)
-        if len(pts) == 0:
-            return 0.0
-        return float(np.dot(w, fn(pts)))
-
 
 class RestrictedOracle(MeasureOracle):
     def __init__(self, base: MeasureOracle, region: Region):
@@ -452,10 +444,9 @@ class MappedOracle(MeasureOracle):
     it keeps bounding-ball culling available through the map.
     """
 
-    def __init__(self, base: MeasureOracle, fwd, inv, displacement_bound=None):
+    def __init__(self, base: MeasureOracle, fwd, displacement_bound=None):
         self.base = base
         self.fwd = fwd
-        self.inv = inv
         self.displacement_bound = displacement_bound
         # fwd of the rows a trace reads, kept across the traces of a condition
         self.mapped = SharedField(fwd)

@@ -16,8 +16,7 @@ from .density import (
     ScaleSchedule,
     Verdict,
     decide_verdict,
-    settle_vanishing,
-    upper_density,
+    vanishing_density_trace,
     vanishing_status,
 )
 from .geometry import (
@@ -28,7 +27,7 @@ from .geometry import (
     apply_differential,
     jet_to_full_differential,
 )
-from .measure import MeasureOracle
+from .measure import BALL, MeasureOracle
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +303,7 @@ def carve_full_density_subset(oracle: MeasureOracle, a, jet: Jet,
     region = CarvedRegion(a, jet, schedule.radii)
     carved = oracle.restrict(region)
     removed = oracle.restrict(Complement(region))
-    trace = upper_density(removed, a, jet.plane.m, schedule, clip_factor=VANISHING_CLIP)
-    status = settle_vanishing(oracle, trace, jet.plane.m)
+    status, trace = vanishing_density_trace(removed, a, jet.plane.m, schedule, BALL)
     return carved, Verdict(status, {"removed_trace": trace})
 
 

@@ -295,6 +295,51 @@ def test_plot_data_index_out_of_range(tmp_path):
     assert main(["plot-data", "--trace", report, "--index", "0", "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("trace", [
+    {"entries": [[1, 2]]},
+    [1, 2, 3],
+    {"entries": 5},
+], ids=["short_entry", "trace_not_object", "entries_not_list"])
+def test_plot_data_malformed_trace_is_usage_error(tmp_path, capsys, trace):
+    report, out = tmp_path / "report.json", tmp_path / "t.csv"
+    report.write_text(json.dumps({"traces": [trace]}))
+    assert main(["plot-data", "--trace", str(report), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# output paths
+
+
+REPORT = "report.json"
+
+
+@pytest.mark.parametrize("where", ["missing_parent", "directory"])
+@pytest.mark.parametrize("argv", [
+    ["fixture", "emit", "line"],
+    ["analyze", "--input", "fixture:line", "--point", "0,0", "--order", "1"],
+    ["verify", "--suite", "touching"],
+    ["plot-data", "--trace", REPORT],
+], ids=["fixture_emit", "analyze", "verify", "plot_data"])
+def test_unwritable_out_is_usage_error(tmp_path, monkeypatch, capsys, argv, where):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / REPORT).write_text(json.dumps({"traces": [{"entries": [[0.5, 1.0, 0.0]]}]}))
+    if where == "directory":
+        (tmp_path / "out").mkdir()
+        out = tmp_path / "out"
+    else:
+        out = tmp_path / "missing" / "out"
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    # nothing written, not even fixture emit's ground truth beside the cloud
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 # ---------------------------------------------------------------------------
 # argument plumbing
 

@@ -349,21 +349,26 @@ def test_transfer_precondition_failure(line):
 # blow-up tangent planes
 
 
-def test_blow_up_on_line(line):
-    out = blow_up_tangent(line.oracle, np.zeros(2), 1, schedule=line.schedule)
+def _assert_blow_up_plane(fx, want):
+    out = blow_up_tangent(fx.oracle, fx.marked_points[0], 1, schedule=fx.schedule)
     assert out is not None
     plane, theta = out
-    assert plane.distance_to(X_AXIS) <= 1e-2
+    assert plane.distance_to(want) <= 1e-2
     assert abs(theta - 1.0) <= 0.05
+
+
+def test_blow_up_on_line(line):
+    _assert_blow_up_plane(line, X_AXIS)
 
 
 def test_blow_up_on_circle(circle):
-    a = circle.marked_points[0]
-    out = blow_up_tangent(circle.oracle, a, 1, schedule=circle.schedule)
-    assert out is not None
-    plane, theta = out
-    assert plane.distance_to(Plane.axis(2, [1])) <= 1e-2
-    assert abs(theta - 1.0) <= 0.05
+    _assert_blow_up_plane(circle, Y_AXIS)
+
+
+@pytest.mark.parametrize("name", ["graph_poly", "parabola_touch"])
+def test_blow_up_on_curved_graph(name):
+    # curved charts whose marked point is the origin, tangent to the x-axis
+    _assert_blow_up_plane(make_fixture(name), X_AXIS)
 
 
 def test_blow_up_none_on_divergent_density():

@@ -7,7 +7,7 @@ backend, through restrictions and maps, for every family the conditions use.
 import numpy as np
 import pytest
 
-from gmtjet.density import ConeOutside, VerticalExcess
+from gmtjet.density import ConeOutside, Exceeds, VerticalExcess, _transfer_families
 from gmtjet.fixtures import make_fixture, point_key
 from gmtjet.geometry import (
     Complement,
@@ -20,7 +20,6 @@ from gmtjet.geometry import (
     split_squares,
 )
 from gmtjet.jetfit import (
-    _ResidualExcess,
     _reduction_shear,
     _vertical_residual,
     shear_displacement_bound,
@@ -66,19 +65,29 @@ def _plane(fx, a):
 
 def _form(T):
     """A degree-2 form with distinct coefficients along T's first normal."""
-    nvec = T.normal_basis()[0]
+    nvec = Plane.from_spanning(T.normal_projector).basis[0]
     return HomogeneousForm(2, T, {beta: (0.4 + 0.3 * j) * nvec
                                   for j, beta in enumerate(multi_indices(T.m, 2))})
+
+
+def _transfer_f(X):
+    """Row by row, like the verify suite's oscillating transfer trials.  With
+    gamma = 1.5 and lam = 0.3 both transfer regions keep part of the balls
+    about the origin and drop the rest."""
+    x0 = np.atleast_2d(X)[:, 0]
+    return 0.9 * np.abs(x0) ** 1.5 * (1.0 + 0.2 * np.cos(20.0 * x0))
 
 
 def _families(T, a, eval_fn):
     split = SharedField(lambda X: np.stack(split_squares(T, a, X)))
     residual = SharedField(_vertical_residual(T, a, eval_fn))
+    hypothesis, conclusion = _transfer_families(_transfer_f, a, 1.5, 0.3)
     return ([("ball", BALL)]
             + [(f"cone_outside_{eps}", ConeOutside(split, T, a, eps)) for eps in EPS]
             + [(f"vertical_excess_{eps}", VerticalExcess(split, T, a, eps)) for eps in EPS]
-            + [(f"residual_{eps}", _ResidualExcess(residual, eps, 2.0)) for eps in EPS]
-            + [("hoelder", _ResidualExcess(residual, 2.0 ** -3, 2.5))])
+            + [(f"residual_{eps}", Exceeds(residual, eps, 2.0)) for eps in EPS]
+            + [("hoelder", Exceeds(residual, 2.0 ** -3, 2.5))]
+            + [("transfer_hypothesis", hypothesis), ("transfer_conclusion", conclusion)])
 
 
 def _oracles(fx, T, a):
@@ -89,7 +98,7 @@ def _oracles(fx, T, a):
     if T.m < T.n:
         form = _form(T)
         shear = _reduction_shear(T, a, form.eval_coords)
-        out.append(("mapped", MappedOracle(base, shear.apply, shear.invert,
+        out.append(("mapped", MappedOracle(base, shear.apply,
                                            shear_displacement_bound(T, a, [form]))))
     return out
 
@@ -127,7 +136,7 @@ def test_trace_evaluates_each_field_once_per_grid():
     residual = _vertical_residual(T, a, _form(T).eval_coords)
     field = SharedField(lambda X: calls.append(len(X)) or residual(X))
     for eps in EPS:
-        fx.oracle.trace(a, RADII, _ResidualExcess(field, eps, 2.0))
+        fx.oracle.trace(a, RADII, Exceeds(field, eps, 2.0))
     # fine and coarse grid, each read once for all three apertures
     assert len(calls) == 2
 
@@ -145,7 +154,8 @@ def test_row_results_do_not_depend_on_row_count(n, offset):
         T = Plane.from_spanning(rng.standard_normal((m, dim)))
         a = rng.standard_normal(dim) * 0.1
         form = _form(T)
-        cubic = HomogeneousForm(3, T, {beta: (0.2 + j) * T.normal_basis()[0]
+        nvec = Plane.from_spanning(T.normal_projector).basis[0]
+        cubic = HomogeneousForm(3, T, {beta: (0.2 + j) * nvec
                                        for j, beta in enumerate(multi_indices(m, 3))})
         shear = _reduction_shear(T, a, form.eval_coords)
         fields = [
