@@ -230,6 +230,8 @@ def cmd_analyze(args) -> int:
     if a.shape[0] != oracle.n:
         raise UsageError(f"point has {a.shape[0]} coords, set lives in R^{oracle.n}")
     schedule = _parse_schedule(args.schedule) if args.schedule else default_schedule
+    if args.out:   # an unwritable path fails now, not after the analysis
+        _write_out(args.out, lambda fp: None)
     report, code = run_analysis(oracle, a, args.order, args.alpha, schedule)
     report["input"] = args.input
     if args.out:
@@ -512,6 +514,8 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    if args.out:   # an unwritable path fails now, not after the suites
+        _write_out(args.out, lambda fp: None)
     results = {"version": __version__, "seed": args.seed, "suites": {}}
     all_pass = True
     for name in names:

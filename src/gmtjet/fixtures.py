@@ -8,6 +8,7 @@ truncated tails accounted analytically where it matters.
 """
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -57,7 +58,7 @@ class HairOracle(IntervalOracle):
     supplies the part of the set beyond the explicit truncation (balls at the
     origin get an exact formula; other regions see the tail through banded
     proxy points whose weights are exact band masses).  Samples are 64 per
-    horizontal piece and 4 per hair, whatever the caller asks for.
+    horizontal piece and 4 per hair: `samples_in_ball` takes no `per_piece`.
     """
 
     def __init__(self, hx, hy0, hy1, horizontal: Sequence[SegmentPiece] = (),
@@ -70,7 +71,6 @@ class HairOracle(IntervalOracle):
         self.u = np.vstack([self.u, np.tile([0.0, 1.0], (len(hx), 1))])
         self.t0 = np.concatenate([self.t0, np.asarray(hy0, dtype=float) + 0.0 * hx])
         self.t1 = np.concatenate([self.t1, np.asarray(hy1, dtype=float) + 0.0 * hx])
-        self.density = np.concatenate([self.density, np.ones_like(hx)])
         self.tail_ball_mass = tail_ball_mass
         self.tail_points = tail_points
 
@@ -131,16 +131,13 @@ class SetFixture:
     bound_radius: float = 4.0
 
     def sample_cloud(self, per_piece: int | None = None) -> WeightedCloud:
-        origin = np.zeros(self.oracle.n)
-        if per_piece is not None:
-            try:
-                pts, w = self.oracle.samples_in_ball(origin, self.bound_radius,
-                                                     per_piece=per_piece)
-                return WeightedCloud(pts, w)
-            except TypeError:
-                pass
-        pts, w = self.oracle.samples_in_ball(origin, self.bound_radius)
-        return WeightedCloud(pts, w)
+        """Samples of the set within bound_radius of the origin; `per_piece`
+        goes to an oracle whose samples_in_ball takes it, and no other."""
+        sample = self.oracle.samples_in_ball
+        options = {}
+        if per_piece is not None and "per_piece" in inspect.signature(sample).parameters:
+            options["per_piece"] = per_piece
+        return WeightedCloud(*sample(np.zeros(self.oracle.n), self.bound_radius, **options))
 
 
 def point_key(p) -> tuple:

@@ -417,7 +417,7 @@ class PreimageRegion(Region):
     """{x : fwd(x) in region} for a pointwise map; used by MappedOracle."""
 
     def __init__(self, region: Region, fwd: Callable[[np.ndarray], np.ndarray],
-                 pad: Callable | None = None):
+                 pad: Callable):
         self.region = region
         self.fwd = fwd
         self.pad = pad
@@ -427,7 +427,7 @@ class PreimageRegion(Region):
 
     def bounding_ball(self):
         bb = self.region.bounding_ball()
-        if bb is None or self.pad is None:
+        if bb is None:
             return None
         center, radius = bb
         return center, radius + float(self.pad(center, radius))
@@ -444,7 +444,7 @@ class MappedOracle(MeasureOracle):
     it keeps bounding-ball culling available through the map.
     """
 
-    def __init__(self, base: MeasureOracle, fwd, displacement_bound=None):
+    def __init__(self, base: MeasureOracle, fwd, displacement_bound):
         self.base = base
         self.fwd = fwd
         self.displacement_bound = displacement_bound
@@ -461,9 +461,7 @@ class MappedOracle(MeasureOracle):
 
     def samples_in_ball(self, center, radius):
         center = np.asarray(center, dtype=float)
-        pad = 0.0
-        if self.displacement_bound is not None:
-            pad = float(self.displacement_bound(center, radius))
+        pad = float(self.displacement_bound(center, radius))
         pts, w = self.base.samples_in_ball(center, radius + pad)
         if len(pts) == 0:
             return pts, w
@@ -685,44 +683,33 @@ class _AnchoredGrid:
     in stable-sort order of distance to an anchor center.
 
     `index` holds the original row of each stored row and `dist` the sorted
-    distances to the anchor, so a cull at the anchor is a prefix slice.  A
-    cull anywhere else makes one pass over the grid in BLOCK-row chunks and
-    sorts only the rows it selects; the grid moves its anchor to a center
-    culled twice in a row, and keeps its original order until then.  Either
-    way a cull returns the rows within reach ordered by (distance, original
-    row), exactly as a stable argsort of the whole grid orders them.
+    distances to the anchor.  The grid is sorted about the first center it
+    is asked about, and again only by `anchor_at`.  Every query about a
+    center c with reach R reads only the stored prefix with anchor distance
+    up to |c - anchor| + R, by the triangle inequality, and tests its rows
+    as a pass over the whole grid would; a cull at the anchor is the prefix
+    itself.  A cull returns the rows within reach ordered by (distance,
+    original row), exactly as a stable argsort of the whole grid orders
+    them; a sample query returns its rows in original order.
     """
 
     def __init__(self, pts, w, ell):
         self.pts, self.w, self.ell = pts, w, ell
         self.index = np.arange(len(w))
         self.dist = None
-        self.anchor = None      # center bytes of the sort order
-        self.previous = None    # center bytes of the last cull
+        self.anchor = None         # center bytes of the sort order
+        self.anchor_point = None   # and its coordinates
         # boundary cells carry fractional coverage up to half an extent
         # beyond their nodes
         self.pad = 0.5 * float(ell.max())
         self.max_weight = float(w.max())
-
-    def _at_anchor(self, center: np.ndarray) -> bool:
-        key = center.tobytes()
-        if key != self.anchor and key == self.previous:
-            self.anchor_at(center)
-        self.previous = key
-        return key == self.anchor
 
     def anchor_at(self, center: np.ndarray) -> None:
         """Sort the rows about center now; a trace culls there many times."""
         key = center.tobytes()
         if key != self.anchor:
             self._sort(center)
-            self.anchor = key
-        self.previous = key
-
-    def _chunks(self, center):
-        """(offset, nodes - center) per BLOCK rows of the stored order."""
-        for i in range(0, len(self.w), BLOCK):
-            yield i, self.pts[i:i + BLOCK] - center
+            self.anchor, self.anchor_point = key, center.copy()
 
     def _original_order(self):
         """Stored position of each original row."""
@@ -733,8 +720,8 @@ class _AnchoredGrid:
     def _sort(self, center):
         pos = self._original_order()
         dist = np.empty(len(pos))
-        for i, x in self._chunks(center):
-            dist[i:i + len(x)] = np.linalg.norm(x, axis=1)
+        for i in range(0, len(pos), BLOCK):
+            dist[i:i + BLOCK] = np.linalg.norm(self.pts[i:i + BLOCK] - center, axis=1)
         dist = dist[pos]
         order = np.argsort(dist, kind="stable")
         take = pos[order]
@@ -742,6 +729,18 @@ class _AnchoredGrid:
         self.w = self.w[take]
         self.ell = self.ell[take]
         self.index, self.dist = order, dist[order]
+
+    def _prefix(self, center, reach) -> int:
+        """Length of the stored prefix that holds every node within reach of
+        center; a grid not yet sorted is sorted about center first."""
+        if self.anchor is None:
+            self.anchor_at(center)
+        offset = float(np.linalg.norm(center - self.anchor_point))
+        # |x - anchor| <= |x - center| + |center - anchor|.  The slack covers
+        # the rounding of the three computed distances (a few ulps each) and,
+        # for sample queries, sorted norms against a squared-distance test;
+        # at the anchor the offset is exactly 0.0.
+        return int(np.searchsorted(self.dist, (offset + reach) * (1 + 1e-9), side="right"))
 
     def cull(self, region: Region):
         """The rows whose cells may meet the region's bounding ball, by
@@ -752,32 +751,22 @@ class _AnchoredGrid:
         else:
             center = np.asarray(bb[0], dtype=float)
             reach = float(bb[1]) + self.pad
-            if self._at_anchor(center):
+            end = self._prefix(center, reach)
+            if center.tobytes() == self.anchor:
+                # the stored distances are the test: a plain slice
                 rows = slice(0, np.searchsorted(self.dist, reach, side="right"))
             else:
-                pos, dist = [], []
-                for i, x in self._chunks(center):
-                    d = np.linalg.norm(x, axis=1)
-                    near = np.flatnonzero(d <= reach)
-                    pos.append(near + i)
-                    dist.append(d[near])
-                pos, dist = np.concatenate(pos), np.concatenate(dist)
-                rows = pos[np.lexsort((self.index[pos], dist))]
+                d = np.linalg.norm(self.pts[:end] - center, axis=1)
+                pos = np.flatnonzero(d <= reach)
+                rows = pos[np.lexsort((self.index[pos], d[pos]))]
         return self.pts[rows], self.w[rows], self.ell[rows]
 
     def in_ball(self, center: np.ndarray, radius: float):
         """Nodes and weights with |x - center|^2 <= radius^2, in original row
-        order; at the anchor only the prefix that can hold them is scanned.
-        Sample queries never move the anchor: a caller probing many centers
-        a few times each would pay a full sort per center."""
-        if center.tobytes() == self.anchor:
-            # the sorted norms and the squared test below round differently
-            end = np.searchsorted(self.dist, abs(radius) * (1 + 1e-9), side="right")
-            chunks = [(0, self.pts[:end] - center)]
-        else:
-            chunks = self._chunks(center)
-        pos = np.concatenate([i + np.flatnonzero(np.einsum("ij,ij->i", x, x) <= radius ** 2)
-                              for i, x in chunks])
+        order."""
+        end = self._prefix(center, abs(radius))
+        x = self.pts[:end] - center
+        pos = np.flatnonzero(np.einsum("ij,ij->i", x, x) <= radius ** 2)
         rows = pos[np.argsort(self.index[pos])]
         return self.pts[rows], self.w[rows]
 
@@ -812,11 +801,13 @@ class ChartOracle(MeasureOracle):
     The coarse (quad_resolution) and fine (2 quad_resolution) grids are built
     on the first `mass`, `samples_in_ball` or `granularity` call, so an
     oracle that is never queried costs one mapped domain corner, which gives
-    `n`.  Density traces query many radii around one center; each grid keeps
-    its rows sorted by distance to an anchor center (see `_AnchoredGrid`), so
-    a query there culls to the bounding ball by a prefix slice.  The culled
-    rows, and their order, are those of a stable argsort of the whole grid
-    by distance to the query's center, which keeps every sum bit for bit.
+    `n`.  Each grid keeps its rows sorted by distance to an anchor center
+    (see `_AnchoredGrid`): the first center it is asked about, or the center
+    of a trace.  Every query reads only the prefix of that order its reach
+    ball can touch, so a density trace's many radii around one center are
+    prefix slices.  The culled rows, and their order, are those of a stable
+    argsort of the whole grid by distance to the query's center, which keeps
+    every sum bit for bit.
     """
 
     def __init__(self, charts: Sequence[ChartSpec], m: int):
@@ -870,7 +861,6 @@ class ChartOracle(MeasureOracle):
 
     def _grid_trace(self, grid: _AnchoredGrid, center, radii, queries, family: Family):
         grid.anchor_at(center)
-        # a fallback cull about another center may re-sort the grid
         pts, w, ell, dist = grid.pts, grid.w, grid.ell, grid.dist
         ends = []
         for q in queries:
@@ -911,13 +901,12 @@ class ChartOracle(MeasureOracle):
 
 @dataclass
 class SegmentPiece:
-    """A straight segment {p0 + t u : t in [t0, t1]} carrying linear density."""
+    """A straight segment {p0 + t u : t in [t0, t1]} carrying H^1."""
 
     p0: np.ndarray
     u: np.ndarray   # unit direction
     t0: float
     t1: float
-    density: float = 1.0
 
     def __post_init__(self):
         self.p0 = np.asarray(self.p0, dtype=float)
@@ -940,13 +929,12 @@ class IntervalOracle(MeasureOracle):
         self.u = np.array([p.u for p in pieces], dtype=float).reshape(-1, n)
         self.t0 = np.array([p.t0 for p in pieces], dtype=float)
         self.t1 = np.array([p.t1 for p in pieces], dtype=float)
-        self.density = np.array([p.density for p in pieces], dtype=float)
         self.m = 1
         self.n = n
 
     def mass(self, region: Region) -> tuple[float, float]:
         lo, hi = clip_segments(region, self.p0, self.u, self.t0, self.t1)
-        lengths = self.density * (hi - lo).sum(axis=1)
+        lengths = (hi - lo).sum(axis=1)
         # a running total in piece order: a pairwise sum moves the last bit
         # of the dyadic density ratios
         return (float(np.cumsum(lengths)[-1]) if len(lengths) else 0.0), 0.0
@@ -965,7 +953,7 @@ class IntervalOracle(MeasureOracle):
         for k in range(self.n):
             np.multiply(ts, self.u[rows, k][full], out=pts[..., k])
             pts[..., k] += self.p0[rows, k][full]
-        w = self.density[rows][full] * (b - a) / per
+        w = (b - a) / per
         return pts.reshape(-1, self.n), np.tile(w, per)
 
     def samples_in_ball(self, center, radius, per_piece: int = 64):

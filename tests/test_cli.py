@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from gmtjet import cli
 from gmtjet.cli import main
 from gmtjet.measure import read_cloud
 
@@ -338,6 +339,22 @@ def test_unwritable_out_is_usage_error(tmp_path, monkeypatch, capsys, argv, wher
     assert err.startswith("error: ") and err.count("\n") == 1, err
     # nothing written, not even fixture emit's ground truth beside the cloud
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "all"],
+    ["analyze", "--input", "fixture:line", "--point", "0,0", "--order", "1"],
+], ids=["verify", "analyze"])
+def test_unwritable_out_is_rejected_before_any_work(tmp_path, monkeypatch, capsys, argv):
+    ran = []
+    monkeypatch.setattr(cli, "SUITES", {name: lambda seed, name=name: ran.append(name) or []
+                                        for name in cli.SUITES})
+    monkeypatch.setattr(cli, "run_analysis",
+                        lambda *args: ran.append("analysis") or ({"verdicts": {}}, 0))
+    assert main(argv + ["--out", str(tmp_path / "missing" / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert ran == []
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,24 @@ def test_sample_cloud_is_finite():
     assert abs(cloud.weights.sum() - 4.0) <= 1e-9
 
 
+def test_sample_cloud_passes_per_piece_and_propagates_errors():
+    line = make_fixture("line")
+    sample = line.oracle.samples_in_ball
+    asked = []
+
+    def samples_in_ball(center, radius, per_piece=64):
+        asked.append(per_piece)
+        if per_piece == 32768:
+            raise TypeError("a fault inside the oracle")
+        return sample(center, radius, per_piece=per_piece)
+
+    line.oracle.samples_in_ball = samples_in_ball
+    assert len(line.sample_cloud(per_piece=8).weights) == 8
+    with pytest.raises(TypeError, match="a fault inside the oracle"):
+        line.sample_cloud(per_piece=32768)
+    assert asked == [8, 32768]
+
+
 # ---------------------------------------------------------------------------
 # total masses against closed forms
 

@@ -20,6 +20,7 @@ from gmtjet.geometry import (
 )
 from gmtjet.measure import (
     ChartOracle,
+    _AnchoredGrid,
     ChartSpec,
     CloudOracle,
     IntervalOracle,
@@ -287,6 +288,37 @@ class FullGridChart:
         return fp[keep], fw[keep]
 
 
+def _assert_same_answers(oracle, reference, regions, samples):
+    for region in regions:
+        assert oracle.mass(region) == reference.mass(region)
+        for c, r in samples:
+            got, want = oracle.samples_in_ball(c, r), reference.samples_in_ball(c, r)
+            assert all(np.array_equal(g, w_) for g, w_ in zip(got, want))
+
+
+def _nodes_at_reach(reference, anchor, count):
+    """Probe queries with a fine node exactly at their reach: centers halfway
+    between the anchor and a node, where the node's anchor distance is the
+    probe's offset plus its reach, up to rounding.  Returns (cull regions,
+    sample balls)."""
+    pts, _, ell = reference.grids[1]
+    pad = 0.5 * float(ell.max())
+    x = pts[np.linalg.norm(pts - anchor, axis=1) > 0.2]
+    x = x[np.linspace(0, len(x) - 1, count).astype(int)]
+    centers = anchor + 0.5 * (x - anchor)
+    d = np.linalg.norm(x - centers, axis=1)
+    regions = []
+    for c, dist in zip(centers, d):
+        # a bounding radius whose reach, radius + pad, is the node's distance
+        for radius in (dist - pad, np.nextafter(dist - pad, 0), np.nextafter(dist - pad, 2)):
+            if radius + pad == dist:
+                regions.append(ClosedBall(c, float(radius)))
+                break
+    y = x - centers
+    radii = np.sqrt(np.einsum("ij,ij->i", y, y))
+    return regions, list(zip(centers, radii))
+
+
 def test_anchored_chart_matches_full_grid_cull():
     charts = make_fixture("sphere", resolution=48).oracle.charts
     oracle, reference = ChartOracle(charts, m=2), FullGridChart(charts)
@@ -310,19 +342,57 @@ def test_anchored_chart_matches_full_grid_cull():
 
     queries = (
         [ball(pole, r) for r in (0.9, 0.5, 0.25, 0.5)]               # anchor at the pole
-        + [lower_cone(r) for r in (0.6, 0.3, 0.15)]                   # one-off centers
+        + [lower_cone(r) for r in (0.6, 0.3, 0.15, 0.08, 0.04)]       # one-off centers
         + [ball(side, 0.4), ball(pole, 0.4)] * 2                      # alternation
-        + [ball(side, 0.5), ball(side, 0.3), ball(side, 0.7)]         # re-anchor at side
+        + [ball(side, 0.5), ball(side, 0.3), ball(side, 0.7)]         # repeated off-anchor
         + [ball(pole, 0.35), ball(pole, 0.2), ball(pole, 0.6)]        # and back
         + [FullSpace(), Complement(ClosedBall(pole, 0.5))]            # unbounded
         + [Intersection(ClosedBall(side, 0.6), FnPositive(lambda X: X[:, 0] - 0.1))]
     )
-    for region in queries:
-        assert oracle.mass(region) == reference.mass(region)
-        for c, r in ((pole, 0.3), (side, 0.45), (pole, ring), (pole, 2.5)):
-            got, want = oracle.samples_in_ball(c, r), reference.samples_in_ball(c, r)
-            assert all(np.array_equal(g, w_) for g, w_ in zip(got, want))
+    # probes a few radii from the anchor with doubling radii, as
+    # pointwise._nearest_samples asks them
+    probes = [(pole + np.array([0.1, 0.05, 0.2]), 0.05), (pole + np.array([0.1, 0.05, 0.2]), 0.2),
+              (pole + np.array([-0.3, 0.2, 0.1]), 0.4), (side, 0.45)]
+    samples = [(pole, 0.3), (pole, ring), (pole, 2.5)] + probes
+    _assert_same_answers(oracle, reference, queries, samples)
     assert oracle.granularity() == float(reference.grids[1][1].max())
+    # nodes exactly at the reach of queries about other centers
+    regions, balls = _nodes_at_reach(reference, pole, 40)
+    assert len(regions) > 20
+    _assert_same_answers(oracle, reference, regions, balls)
+    for grid in oracle._grids():
+        assert grid.anchor == pole.tobytes()
+    # fresh grids whose first query is an off-anchor cull or a sample query
+    for first in ([lower_cone(0.3)], [FullSpace(), ball(side, 0.5)]):
+        fresh = ChartOracle(charts, m=2)
+        _assert_same_answers(fresh, reference, first + queries[:12], probes)
+    fresh = ChartOracle(charts, m=2)
+    _assert_same_answers(fresh, reference, [], probes)
+    _assert_same_answers(fresh, reference, queries[:12] + regions[:10], balls[:10])
+
+
+def test_chart_grid_sorts_at_first_query_and_at_anchor_at(monkeypatch):
+    sorts = []
+    sort = _AnchoredGrid._sort
+
+    def counted(self, center):
+        sorts.append((len(self.w), tuple(center)))
+        return sort(self, center)
+
+    monkeypatch.setattr(_AnchoredGrid, "_sort", counted)
+    oracle = ChartOracle(make_fixture("sphere", resolution=24).oracle.charts, m=2)
+    pole, side = (0.0, 0.0, 1.0), (0.6, 0.0, 0.8)
+    oracle.samples_in_ball(np.array(side), 0.2)
+    for _ in range(3):
+        for c in (pole, side):
+            oracle.mass(ClosedBall(np.array(c), 0.3))
+            oracle.samples_in_ball(np.array(c), 0.1)
+    coarse, fine = (len(grid.w) for grid in oracle._grids())
+    # a sample query sorts only the fine grid; the first cull sorts the coarse
+    assert sorts == [(fine, side), (coarse, pole)]
+    oracle.trace(np.array(pole), [0.3, 0.2])
+    oracle.mass(ClosedBall(np.array(side), 0.3))
+    assert sorts == [(fine, side), (coarse, pole), (fine, pole)]
 
 
 def test_chart_oracle_builds_no_grid_until_queried(monkeypatch):
