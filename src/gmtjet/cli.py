@@ -173,51 +173,50 @@ def run_analysis(oracle, a, k, alpha, schedule) -> tuple[dict, int]:
     except NotImplementedError as exc:
         # exact closed-form oracles cannot evaluate every region family the
         # higher-order residual conditions need; the analysis cannot decide
-        report = {"version": __version__,
-                  "point": [float(c) for c in a],
-                  "schedule": schedule.to_dict(),
-                  "tangent": None, "jet": None, "traces": [],
-                  "verdicts": {"jet_fit": "inconclusive"},
-                  "timings": {"jet_fit": time.perf_counter() - t0},
-                  }
         print(f"note: {exc}", file=sys.stderr)
-        return report, EXIT_INCONCLUSIVE
+        jet = verdict = None
     timings["jet_fit"] = time.perf_counter() - t0
 
-    # without a validated plane the tangent stage decided the jet fit, and
-    # its status and reason are the jet fit's
-    tangent_decided = verdict.diagnostics.get("stage") == "tangent_plane"
-    verdicts = {
-        "tangent_plane": verdict.status if tangent_decided else "holds",
-        "jet_fit": verdict.status,
-    }
-    if k >= 2 and not tangent_decided:
-        try:
-            approximate_sff(jet)
-            verdicts["sff"] = "holds"
-        except ValueError:
-            verdicts["sff"] = "fails"
+    tangent, traces = None, []
+    if verdict is None:
+        verdicts, code = {"jet_fit": "inconclusive"}, EXIT_INCONCLUSIVE
+    else:
+        # without a validated plane the tangent stage decided the jet fit,
+        # and its status and reason are the jet fit's
+        tangent_decided = verdict.diagnostics.get("stage") == "tangent_plane"
+        verdicts = {
+            "tangent_plane": verdict.status if tangent_decided else "holds",
+            "jet_fit": verdict.status,
+        }
+        if k >= 2 and not tangent_decided:
+            try:
+                approximate_sff(jet)
+                verdicts["sff"] = "holds"
+            except ValueError:
+                verdicts["sff"] = "fails"
+        tangent = ({"reason": verdict.diagnostics["tangent"].get("reason")}
+                   if tangent_decided
+                   else {"m": jet.plane.m, "basis": jet.plane.basis.tolist()})
+        code = _verdict_exit(verdict.status)
 
-    traces = []
-    t0 = time.perf_counter()
-    try:
-        traces.append(upper_density(oracle, a, oracle.m, schedule))
-    except ValueError:
-        pass
-    timings["density_trace"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        try:
+            traces.append(upper_density(oracle, a, oracle.m, schedule))
+        except ValueError:
+            pass
+        timings["density_trace"] = time.perf_counter() - t0
 
     report = {
         "version": __version__,
         "point": [float(c) for c in a],
         "schedule": schedule.to_dict(),
-        "tangent": {"reason": verdict.diagnostics["tangent"].get("reason")}
-        if tangent_decided else {"m": jet.plane.m, "basis": jet.plane.basis.tolist()},
+        "tangent": tangent,
         "jet": jsonable(jet),
         "traces": [jsonable(t) for t in traces],
         "verdicts": verdicts,
         "timings": timings,
     }
-    return report, _verdict_exit(verdict.status)
+    return report, code
 
 
 def cmd_analyze(args) -> int:

@@ -38,8 +38,8 @@ class ScaleSchedule:
     J: int = 24
 
     def __post_init__(self):
-        if self.r0 <= 0 or not (0 < self.q < 1) or self.J < 8:
-            raise ValueError("need r0 > 0, q in (0,1), J >= 8")
+        if not (0 < self.r0 < math.inf) or not (0 < self.q < 1) or self.J < 8:
+            raise ValueError("need finite r0 > 0, q in (0,1), J >= 8")
 
     @property
     def radii(self) -> np.ndarray:
@@ -52,19 +52,16 @@ class ScaleSchedule:
         checks tolerate a much smaller one because their deep-scale masses
         are exact zeros rather than noisy positives.
         """
-        g = oracle.granularity()
-        if g <= 0:
+        J = self._reliable(oracle, factor)
+        if J == self.J:
             return self
-        if factor is None:
-            factor = DEFAULT_TOL.granularity_factor
-        J = self._reliable(oracle.m, factor * g)
         if J < 8:
             raise ValueError("schedule has fewer than 8 reliable scales for this oracle")
         return ScaleSchedule(self.r0, self.q, J)
 
-    def _reliable(self, m: int, floor: float) -> int:
-        """How many radii have r^m >= floor."""
-        return int((self.radii ** m >= floor).sum())
+    def _reliable(self, oracle: MeasureOracle, factor: float | None = None) -> int:
+        """How many radii clear the granularity rule."""
+        return int(resolved(oracle, self.radii, oracle.m, factor).sum())
 
     def decisive_for(self, oracle: MeasureOracle) -> "ScaleSchedule":
         """This schedule, or the same r0 and J with q raised just enough
@@ -75,15 +72,14 @@ class ScaleSchedule:
         when it already keeps enough radii, or when no q < 1 would.
         """
         need = 3 * DEFAULT_TOL.trailing_window - 1
-        g = oracle.granularity()
-        floor = DEFAULT_TOL.granularity_factor * g
-        if g <= 0 or need > self.J or self._reliable(oracle.m, floor) >= need:
+        if need > self.J or self._reliable(oracle) >= need:
             return self
         # the smallest q with r0 q^(need - 1) >= floor^(1/m), raised by far
         # more than the rounding of the radii
+        floor = _granularity_floor(oracle)
         q = (1 + 1e-12) * (floor ** (1 / oracle.m) / self.r0) ** (1 / (need - 1))
         wider = ScaleSchedule(self.r0, q, self.J) if q < 1 else self
-        return wider if wider._reliable(oracle.m, floor) >= need else self
+        return wider if wider._reliable(oracle) >= need else self
 
     def to_dict(self) -> dict:
         return {"r0": self.r0, "q": self.q, "J": self.J}
@@ -92,6 +88,18 @@ class ScaleSchedule:
 DYADIC_SCHEDULE = ScaleSchedule(r0=0.5, q=0.5, J=24)
 # radii 0.75 * 2^-j land in the gaps of the dyadic annuli at every other step
 DYADIC_GAP_SCHEDULE = ScaleSchedule(r0=0.75, q=0.5, J=24)
+
+
+def _granularity_floor(oracle: MeasureOracle, factor: float | None = None) -> float:
+    """factor * g, g the oracle's granularity (its largest sample weight)."""
+    return (DEFAULT_TOL.granularity_factor if factor is None else factor) * oracle.granularity()
+
+
+def resolved(oracle: MeasureOracle, length, m: int, factor: float | None = None):
+    """The granularity rule: no single sample dominates a mass at scale
+    `length` (an array or a number) when g <= 0 or length^m >= factor * g."""
+    floor = _granularity_floor(oracle, factor)
+    return np.logical_or(floor <= 0, length ** m >= floor)
 
 
 @dataclass
@@ -138,20 +146,27 @@ def _running_window(values: np.ndarray, errs: np.ndarray, w: int, fn):
     return out_v, out_e
 
 
+def _trailing_window(ratios, errs, window_fn):
+    """(trail, trail_e, prev): the last w running-window values, their errors
+    and the w values before them; None for a trace shorter than 3w - 1."""
+    w = DEFAULT_TOL.trailing_window
+    if len(ratios) < 3 * w - 1:
+        return None
+    der, der_e = _running_window(np.asarray(ratios, dtype=float),
+                                 np.asarray(errs, dtype=float), w, window_fn)
+    return der[-w:], der_e[-w:], der[-2 * w:-w]
+
+
 def decide_verdict(ratios: np.ndarray, errs: np.ndarray, window_fn) -> tuple[str, float | None]:
     """Deterministic verdict from a ratio trace.
 
     The trace is first reduced to a running-window statistic (max for upper
     limits, min for lower limits), then classified from its trailing window.
     """
-    w = DEFAULT_TOL.trailing_window
-    ratios = np.asarray(ratios, dtype=float)
-    errs = np.asarray(errs, dtype=float)
-    if len(ratios) < 3 * w - 1:
+    window = _trailing_window(ratios, errs, window_fn)
+    if window is None:
         return "inconclusive", None
-    der, der_e = _running_window(ratios, errs, w, window_fn)
-    trail, trail_e = der[-w:], der_e[-w:]
-    prev = der[-2 * w:-w]
+    trail, trail_e, prev = window
     if np.all(trail + trail_e < DEFAULT_TOL.tol_zero) \
             and trail.max() <= 0.5 * prev.max() + 1e-300:
         return "limit_zero", 0.0
@@ -208,22 +223,17 @@ def lower_density(oracle: MeasureOracle, a, m: int, schedule: ScaleSchedule) -> 
 # tangent cone membership
 
 
-def _positive_density(trace: DensityTrace) -> str:
-    if trace.verdict in ("limit_positive", "diverges"):
-        return "holds"
-    if trace.verdict == "limit_zero":
-        return "fails"
-    return "inconclusive"
+# whether a trace verdict shows a positive limit; undecided ones are absent
+_POSITIVE_LIMIT = {"limit_positive": True, "diverges": True, "limit_zero": False}
 
 
-def vanishing_status(verdict: str) -> str:
-    """holds / fails / inconclusive for a trace verdict expected to be
-    limit_zero; the mirror of `_positive_density`."""
-    if verdict == "limit_zero":
-        return "holds"
-    if verdict in ("limit_positive", "diverges"):
-        return "fails"
-    return "inconclusive"
+def trace_status(verdict: str, vanishing: bool = False) -> str:
+    """holds / fails / inconclusive for a trace verdict expected to show a
+    positive limit, or with `vanishing` a zero one."""
+    positive = _POSITIVE_LIMIT.get(verdict)
+    if positive is None:
+        return "inconclusive"
+    return "holds" if positive != vanishing else "fails"
 
 
 def combine_statuses(statuses) -> str:
@@ -238,6 +248,19 @@ def combine_statuses(statuses) -> str:
     if tested and all(s == "holds" for s in tested):
         return "holds"
     return "inconclusive"
+
+
+def over_apertures(test: Callable[[float], tuple[str, object]]) -> Verdict:
+    """The quantifier "for every aperture eps > 0" over the aperture grid.
+
+    `test(eps)` gives each aperture's status and details, in grid order.  The
+    verdict combines the statuses; its diagnostics key both by eps, under
+    "per_eps" and "details"."""
+    per_eps, details = {}, {}
+    for eps in DEFAULT_GRIDS.eps_grid:
+        per_eps[eps], details[eps] = test(eps)
+    return Verdict(combine_statuses(per_eps.values()),
+                   {"per_eps": per_eps, "details": details})
 
 
 def _normalized(v: np.ndarray) -> np.ndarray:
@@ -255,18 +278,17 @@ def in_upper_tangent_cone(oracle: MeasureOracle, a, m: int, v,
     """v in Tan*^m(phi, a): positive upper density along every cone E(a,v,eps)."""
     a = np.asarray(a, dtype=float)
     v = _normalized(v)
-    per_eps, traces = {}, {}
     if np.linalg.norm(v) == 0:
         trace = upper_density(oracle, a, m, schedule)
-        status = _positive_density(trace)
-        return Verdict(status, {"v": v.tolist(), "trace": trace})
-    for eps in DEFAULT_GRIDS.eps_grid:
-        restricted = oracle.restrict(Cone(a, v, eps))
-        trace = upper_density(restricted, a, m, schedule)
-        per_eps[eps] = _positive_density(trace)
-        traces[eps] = trace
-    return Verdict(combine_statuses(per_eps.values()),
-                   {"v": v.tolist(), "per_eps": per_eps, "traces": traces})
+        return Verdict(trace_status(trace.verdict), {"v": v.tolist(), "trace": trace})
+
+    def test(eps):
+        trace = upper_density(oracle.restrict(Cone(a, v, eps)), a, m, schedule)
+        return trace_status(trace.verdict), trace
+
+    verdict = over_apertures(test)
+    verdict.diagnostics["v"] = v.tolist()
+    return verdict
 
 
 def eta_uniform_condition(oracle: MeasureOracle, m: int, schedule: ScaleSchedule,
@@ -280,10 +302,8 @@ def eta_uniform_condition(oracle: MeasureOracle, m: int, schedule: ScaleSchedule
     few eligible scales stand in for "all small r".  Returns "untested" when
     fewer than three scales are eligible.
     """
-    g = oracle.granularity()
     radii = [float(r) for r in schedule.radii
-             if (g <= 0 or (eps * r) ** m >= DEFAULT_TOL.granularity_factor * g)
-             and r <= eps * schedule.r0]
+             if resolved(oracle, eps * r, m) and r <= eps * schedule.r0]
     radii = radii[-max(3, DEFAULT_TOL.trailing_window):]
     if len(radii) < 3:
         return "untested", {"eps": eps, "radii": radii}
@@ -300,31 +320,25 @@ def eta_uniform_condition(oracle: MeasureOracle, m: int, schedule: ScaleSchedule
 
 
 def in_lower_tangent_cone(oracle: MeasureOracle, a, m: int, v,
-                          schedule: ScaleSchedule = ScaleSchedule()) -> Verdict:
+                          schedule: ScaleSchedule = ScaleSchedule(),
+                          base: DensityTrace | None = None) -> Verdict:
     """v in Tan_*^m(phi, a): positive lower density plus the eta-uniform
     ball-mass condition mass(U(a + r v, eps r)) >= eta r^m on the finest
-    eligible scales of each aperture."""
+    eligible scales of each aperture.  `base` is the lower-density trace at
+    a when the caller has it, so that the candidates of one plane share it.
+    """
     a = np.asarray(a, dtype=float)
-    return _lower_cone_verdict(oracle, a, m, v, schedule,
-                               lower_density(oracle, a, m, schedule))
-
-
-def _lower_cone_verdict(oracle: MeasureOracle, a: np.ndarray, m: int, v,
-                        schedule: ScaleSchedule, base: DensityTrace) -> Verdict:
-    """`in_lower_tangent_cone` given `base`, the lower-density trace at a,
-    so that the candidates of one plane share it."""
+    if base is None:
+        base = lower_density(oracle, a, m, schedule)
     v = _normalized(v)
-    density_status = _positive_density(base)
+    density = trace_status(base.verdict)
     diag = {"v": v.tolist(), "lower_density": base}
-    if density_status == "fails":
-        return Verdict("fails", diag)
     vn = float(np.linalg.norm(v))
-    if vn == 0:
-        return Verdict(density_status, diag)
+    if density == "fails" or vn == 0:
+        return Verdict(density, diag)
 
-    per_eps, details = {}, {}
-    for eps in DEFAULT_GRIDS.eps_grid:
-        def mass_fn(r, eps=eps):
+    def test(eps):
+        def mass_fn(r):
             # the hull contains the open ball, so the region is the ball, and
             # Intersection.bounding_ball culls about the ball's center, which
             # moves with r.  The hull stays because the two touch at their
@@ -334,15 +348,15 @@ def _lower_cone_verdict(oracle: MeasureOracle, a: np.ndarray, m: int, v,
             hull = ClosedBall(a, (vn + eps) * r)
             return oracle.mass(Intersection(hull, OpenBall(a + r * v, eps * r)))
 
-        status, d = eta_uniform_condition(oracle, m, schedule, eps, mass_fn)
-        per_eps[eps] = status
-        details[eps] = d
-    diag["per_eps"] = per_eps
-    diag["eta_details"] = details
-    combined = combine_statuses(per_eps.values())
-    if combined == "holds" and density_status == "inconclusive":
-        combined = "inconclusive"
-    return Verdict(combined, diag)
+        return eta_uniform_condition(oracle, m, schedule, eps, mass_fn)
+
+    verdict = over_apertures(test)
+    verdict.diagnostics.update(diag)
+    # an undecided density keeps the cone undecided; it is no aperture
+    # status, so all-untested apertures stay inconclusive when it holds
+    if verdict.status == "holds" and density == "inconclusive":
+        verdict.status = "inconclusive"
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -358,27 +372,23 @@ VANISHING_CLIP = 4.0
 
 def settle_vanishing(oracle: MeasureOracle, trace: DensityTrace, m: int) -> str:
     """holds / fails / inconclusive for an upper trace expected to vanish."""
-    status = vanishing_status(trace.verdict)
+    status = trace_status(trace.verdict, vanishing=True)
     if status != "inconclusive":
         return status
-    g = oracle.granularity()
-    keep = [e for e in trace.entries
-            if g <= 0 or e[0] ** m >= DEFAULT_TOL.granularity_factor * g]
+    keep = [e for e in trace.entries if resolved(oracle, e[0], m)]
     ratios = np.array([e[1] for e in keep])
     errs = np.array([e[2] for e in keep])
     verdict, est = decide_verdict(ratios, errs, np.max)
     if verdict != "inconclusive":
         trace.verdict, trace.estimate = verdict, est
-        return vanishing_status(verdict)
+        return trace_status(verdict, vanishing=True)
     # failing the vanishing condition does not require a clean limit: a
     # trailing window bounded away from zero beyond its error bars is
     # decisive, provided the trace has stopped decreasing (a steady
     # decay means the transition scale just is not resolved yet)
-    w = DEFAULT_TOL.trailing_window
-    if len(ratios) >= 3 * w - 1:
-        der, der_e = _running_window(ratios, errs, w, np.min)
-        trail, trail_e = der[-w:], der_e[-w:]
-        prev = der[-2 * w:-w]
+    window = _trailing_window(ratios, errs, np.min)
+    if window is not None:
+        trail, trail_e, prev = window
         slack = trail_e.max() + DEFAULT_TOL.positive_spread * prev.min()
         if np.all(trail - trail_e > DEFAULT_TOL.tol_zero) \
                 and trail.min() >= prev.min() - slack:
@@ -441,17 +451,11 @@ def cone_condition_check(oracle: MeasureOracle, a, T: Plane,
     m = T.m
     split = SharedField(lambda X: np.stack(split_squares(T, a, X)))
 
-    ii_eps, iii_eps, traces_ii, traces_iii = {}, {}, {}, {}
-    for eps in DEFAULT_GRIDS.eps_grid:
-        ii_eps[eps], traces_ii[eps] = vanishing_density_trace(
-            oracle, a, m, schedule, ConeOutside(split, T, a, eps))
-        iii_eps[eps], traces_iii[eps] = vanishing_density_trace(
-            oracle, a, m, schedule, VerticalExcess(split, T, a, eps))
-    vii = Verdict(combine_statuses(ii_eps.values()),
-                  {"per_eps": ii_eps, "traces": traces_ii})
-    viii = Verdict(combine_statuses(iii_eps.values()),
-                   {"per_eps": iii_eps, "traces": traces_iii})
-    return vii, viii
+    def condition(family):
+        return over_apertures(lambda eps: vanishing_density_trace(
+            oracle, a, m, schedule, family(split, T, a, eps)))
+
+    return condition(ConeOutside), condition(VerticalExcess)
 
 
 # ---------------------------------------------------------------------------

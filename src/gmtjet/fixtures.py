@@ -629,6 +629,9 @@ def make_fixture(name: str, **params) -> SetFixture:
     if unknown:
         raise ValueError(f"fixture {name!r} has no parameter {unknown[0]!r}; "
                          f"it takes {', '.join(keys) or 'none'}")
+    for key, value in params.items():
+        if any(isinstance(v, (int, float)) and not math.isfinite(v) for v in np.ravel(value)):
+            raise ValueError(f"fixture {name!r} parameter {key!r} is not finite: {value!r}")
     return builder(params)
 
 

@@ -18,12 +18,13 @@ from .density import (
     Exceeds,
     ScaleSchedule,
     Verdict,
-    _lower_cone_verdict,
     combine_statuses,
     cone_condition_check,
     eta_uniform_condition,
+    in_lower_tangent_cone,
     local_moments,
     lower_density,
+    over_apertures,
     vanishing_density_trace,
 )
 from .geometry import (
@@ -92,24 +93,21 @@ def _estimate_tangent(oracle: MeasureOracle, a, schedule: ScaleSchedule):
         vii, viii = cone_condition_check(oracle, a, T, schedule)
         cdiag["cone_ii"], cdiag["cone_iii"] = vii, viii
         statuses = [vii.status, viii.status]
-        if "fails" not in statuses:
+        if combine_statuses(statuses) != "fails":
             cone_members = []
-            for row in T.basis:
-                for sign in (1.0, -1.0):
-                    v = _lower_cone_verdict(oracle, a, m, sign * row, schedule, lo)
-                    cone_members.append(v)
-                    statuses.append(v.status)
-                    if v.status == "fails":
-                        break
-                if statuses[-1] == "fails":
+            for v in (sign * row for row in T.basis for sign in (1.0, -1.0)):
+                member = in_lower_tangent_cone(oracle, a, m, v, schedule, base=lo)
+                cone_members.append(member)
+                statuses.append(member.status)
+                if member.status == "fails":
                     break
             cdiag["lower_cone"] = cone_members
-        if all(s == "holds" for s in statuses):
+        status = combine_statuses(statuses)
+        if status == "holds":
             diag["attempts"] = attempts
             diag["validation"] = cdiag
             return (m, T), diag
-        if "fails" not in statuses:
-            any_open = True
+        any_open |= status == "inconclusive"
         attempts.append(cdiag)
     diag["attempts"] = attempts
     if attempts and all(a.get("reason") == "theta_zero" for a in attempts):
@@ -292,7 +290,7 @@ def _reduction_shear(T: Plane, a: np.ndarray, poly) -> ShearMap:
 
 def _cylinder_condition(cur: MeasureOracle, a: np.ndarray, T: Plane,
                         form: HomogeneousForm, i: int,
-                        schedule: ScaleSchedule) -> tuple[str, dict]:
+                        schedule: ScaleSchedule) -> Verdict:
     """Uniform mass in thin cylinders around probes lifted through the form."""
     m = T.m
     probes = [np.zeros(m)]
@@ -301,9 +299,9 @@ def _cylinder_condition(cur: MeasureOracle, a: np.ndarray, T: Plane,
         e[j] = 1.0
         probes.extend([e, -e])
     norm = unit_ball_volume(m)
-    per_eps, details = {}, {}
-    for eps in DEFAULT_GRIDS.eps_grid:
-        def mass_fn(r, eps=eps):
+
+    def test(eps):
+        def mass_fn(r):
             hull = ClosedBall(a, 2 * r)
             los, his = [], []
             for p in probes:
@@ -316,22 +314,18 @@ def _cylinder_condition(cur: MeasureOracle, a: np.ndarray, T: Plane,
             lo, hi = min(los), min(his)
             return (lo + hi) / 2, (hi - lo) / 2
 
-        status, d = eta_uniform_condition(cur, m, schedule, eps, mass_fn, norm=norm)
-        per_eps[eps] = status
-        details[eps] = d
-    return combine_statuses(per_eps.values()), {"per_eps": per_eps, "eta": details}
+        return eta_uniform_condition(cur, m, schedule, eps, mass_fn, norm=norm)
+
+    return over_apertures(test)
 
 
 def _residual_condition(cur: MeasureOracle, a: np.ndarray, T: Plane,
                         eval_fn, exponent: float,
-                        schedule: ScaleSchedule) -> tuple[str, dict]:
+                        schedule: ScaleSchedule) -> Verdict:
     """Vanishing density of {vertical residual > eps r^exponent} per aperture."""
     residual = SharedField(_vertical_residual(T, a, eval_fn))
-    per_eps, traces = {}, {}
-    for eps in DEFAULT_GRIDS.eps_grid:
-        per_eps[eps], traces[eps] = vanishing_density_trace(
-            cur, a, T.m, schedule, Exceeds(residual, eps, exponent))
-    return combine_statuses(per_eps.values()), {"per_eps": per_eps, "traces": traces}
+    return over_apertures(lambda eps: vanishing_density_trace(
+        cur, a, T.m, schedule, Exceeds(residual, eps, exponent)))
 
 
 def _hoelder_search(cur: MeasureOracle, a: np.ndarray, T: Plane, eval_fn,
@@ -412,20 +406,17 @@ def iterated_jet_fit(oracle: MeasureOracle, a, k: int, alpha: float,
             break
         stage["coefficients"] = {beta: c for beta, c in form.coefficients.items()}
 
-        cond_a, da = _cylinder_condition(cur, a, T, form, i, schedule)
-        stage["cylinder_mass"] = da
-        stage["cylinder_status"] = cond_a
-        if cond_a != "holds":
+        cylinder = _cylinder_condition(cur, a, T, form, i, schedule)
+        stage["cylinder"] = cylinder
+        if cylinder.status != "holds":
             stages.append(stage)
-            status, diag["stage"] = cond_a, f"cylinder_{i}"
+            status, diag["stage"] = cylinder.status, f"cylinder_{i}"
             break
-        cond_b, db = _residual_condition(cur, a, T, form.eval_coords, float(i),
-                                         schedule)
-        stage["residual"] = db
-        stage["residual_status"] = cond_b
+        residual = _residual_condition(cur, a, T, form.eval_coords, float(i), schedule)
+        stage["residual"] = residual
         stages.append(stage)
-        if cond_b != "holds":
-            status, diag["stage"] = cond_b, f"residual_{i}"
+        if residual.status != "holds":
+            status, diag["stage"] = residual.status, f"residual_{i}"
             break
         forms[i] = form
         if i < k and form.coefficient_norm() > 1e-12:
@@ -485,18 +476,18 @@ def shear_invariance_check(oracle: MeasureOracle, a, jet: Jet,
     a = np.asarray(a, dtype=float)
     T = jet.plane
     k = jet.degree
-    pre, dpre = _residual_condition(oracle, a, T, jet.eval_coords, float(k), schedule)
+    pre = _residual_condition(oracle, a, T, jet.eval_coords, float(k), schedule)
 
     shear = _reduction_shear(T, a, jet.eval_coords)
     flat = MappedOracle(oracle, shear.apply,
                         shear_displacement_bound(T, a, jet.forms.values()))
-    post, dpost = _residual_condition(flat, a, T, Jet.zero(a, T, k).eval_coords,
-                                      float(k), schedule)
-    diag = {"before": dpre, "after": dpost, "before_status": pre,
-            "after_status": post}
-    if "inconclusive" in (pre, post):
+    post = _residual_condition(flat, a, T, Jet.zero(a, T, k).eval_coords,
+                               float(k), schedule)
+    diag = {"before": pre, "after": post, "before_status": pre.status,
+            "after_status": post.status}
+    if "inconclusive" in (pre.status, post.status):
         return Verdict("inconclusive", diag)
-    return Verdict("holds" if pre == post else "fails", diag)
+    return Verdict("holds" if pre.status == post.status else "fails", diag)
 
 
 # ---------------------------------------------------------------------------

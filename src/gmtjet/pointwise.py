@@ -16,8 +16,8 @@ from .density import (
     ScaleSchedule,
     Verdict,
     decide_verdict,
+    trace_status,
     vanishing_density_trace,
-    vanishing_status,
 )
 from .geometry import (
     Complement,
@@ -105,9 +105,10 @@ def _cone_trace(target, a, v, schedule: ScaleSchedule):
 def _cone_verdict(target, a, v, schedule, window_fn) -> Verdict:
     vals = _cone_trace(target, a, v, schedule)
     verdict, est = decide_verdict(vals, np.zeros_like(vals), window_fn)
-    return Verdict(vanishing_status(verdict), {"trace_verdict": verdict, "estimate": est,
-                            "radii": [float(r) for r in schedule.radii],
-                            "ratios": [float(t) for t in vals]})
+    return Verdict(trace_status(verdict, vanishing=True),
+                   {"trace_verdict": verdict, "estimate": est,
+                    "radii": [float(r) for r in schedule.radii],
+                    "ratios": [float(t) for t in vals]})
 
 
 def in_pt_upper_cone(target, a, v, schedule: ScaleSchedule = ScaleSchedule()) -> Verdict:

@@ -198,7 +198,18 @@ ANALYZE_CLOUD = ["analyze", "--input", CLOUD, "--point", "0,0", "--order", "1"]
     (["fixture", "emit", "graph_poly", "--param", "coeffs=1", "--out", CLOUD], None),
     (ANALYZE_CLOUD, "#gmt-cloud n=2 m=1\n"),
     (ANALYZE_CLOUD, "#gmt-cloud n=2 m=3\n0.5 0.0 0.0\n0.5 0.1 0.0\n"),
-], ids=["order_0", "alpha_2", "scalar_coeffs", "header_only_cloud", "m_above_n_cloud"])
+    (["analyze", "--input", "fixture:line", "--point", "0,0", "--order", "1",
+      "--schedule", "nan,0.7,24"], None),
+    (["analyze", "--input", "fixture:line", "--point", "0,0", "--order", "1",
+      "--schedule", "inf,0.7,24"], None),
+    (["fixture", "emit", "circle", "--param", "R=nan", "--out", CLOUD], None),
+    (["fixture", "emit", "graph_poly", "--param", "coeffs=nan,0", "--out", CLOUD], None),
+    (["fixture", "emit", "circle", "--param", "R=inf", "--out", CLOUD], None),
+    (["fixture", "emit", "dyadic_annuli", "--param", "depth=inf", "--out", CLOUD], None),
+    (["fixture", "emit", "comb", "--param", "n_teeth=inf", "--out", CLOUD], None),
+], ids=["order_0", "alpha_2", "scalar_coeffs", "header_only_cloud", "m_above_n_cloud",
+        "nan_r0", "inf_r0", "nan_radius", "nan_coeff", "inf_radius", "inf_depth",
+        "inf_teeth"])
 def test_bad_input_is_usage_error(tmp_path, monkeypatch, capsys, argv, cloud):
     monkeypatch.chdir(tmp_path)
     if cloud is not None:
@@ -207,6 +218,7 @@ def test_bad_input_is_usage_error(tmp_path, monkeypatch, capsys, argv, cloud):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == ([tmp_path / CLOUD] if cloud is not None else [])
 
 
 def test_analyze_off_origin_parabola(tmp_path):

@@ -126,6 +126,7 @@ def test_schedule_radii_decrease():
 
 @pytest.mark.parametrize("kwargs", [
     dict(r0=0.0), dict(q=1.0), dict(q=0.0), dict(J=7),
+    dict(r0=float("nan")), dict(r0=float("inf")),
 ])
 def test_schedule_validation(kwargs):
     with pytest.raises(ValueError):

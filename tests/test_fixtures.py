@@ -137,6 +137,19 @@ def test_positive_radius_validation(name, kwargs):
         make_fixture(name, **kwargs)
 
 
+@pytest.mark.parametrize("name,kwargs", [
+    ("circle", dict(R=math.nan)),
+    ("circle", dict(R=math.inf)),
+    ("graph_poly", dict(coeffs=(math.nan, 0.0))),
+    ("graph_poly", dict(coeffs=(1.0, -math.inf))),
+    ("dyadic_annuli", dict(depth=math.inf)),
+    ("comb", dict(n_teeth=math.inf)),
+])
+def test_non_finite_param_validation(name, kwargs):
+    with pytest.raises(ValueError, match="not finite"):
+        make_fixture(name, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # the hairy segment A_{alpha,gamma}
 

@@ -5,10 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmtjet import density
-from gmtjet.density import ScaleSchedule, in_lower_tangent_cone
+from gmtjet.config import DEFAULT_GRIDS
+from gmtjet.density import (
+    ScaleSchedule,
+    combine_statuses,
+    cone_condition_check,
+    in_lower_tangent_cone,
+    in_upper_tangent_cone,
+    trace_status,
+)
 from gmtjet.fixtures import make_fixture
 from gmtjet.geometry import HomogeneousForm, Jet, Plane
 from gmtjet.jetfit import (
+    _cylinder_condition,
     _residual_condition,
     estimate_tangent_plane,
     fit_homogeneous_form,
@@ -115,6 +124,51 @@ def test_refine_kills_artificial_tilt(cubic):
     T = refine_tangent_plane(cubic.oracle, np.zeros(2), tilted,
                              sched.radii[-6:])
     assert abs(T.basis[0, 1]) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the aperture quantifier
+
+
+# each condition quantified over the apertures, at the origin of the exact
+# line, where every one of them holds
+E1 = np.array([1.0, 0.0])
+ZERO_FORM = HomogeneousForm(2, X_AXIS, {(2,): np.zeros(2)})
+APERTURE_CONDITIONS = {
+    "upper_cone": lambda fx: in_upper_tangent_cone(fx.oracle, np.zeros(2), 1, E1, fx.schedule),
+    "lower_cone": lambda fx: in_lower_tangent_cone(fx.oracle, np.zeros(2), 1, E1, fx.schedule),
+    "cone_ii": lambda fx: cone_condition_check(fx.oracle, np.zeros(2), X_AXIS, fx.schedule)[0],
+    "cone_iii": lambda fx: cone_condition_check(fx.oracle, np.zeros(2), X_AXIS, fx.schedule)[1],
+    "cylinder": lambda fx: _cylinder_condition(
+        fx.oracle, np.zeros(2), X_AXIS, ZERO_FORM, 2, fx.schedule),
+    "residual": lambda fx: _residual_condition(
+        fx.oracle, np.zeros(2), X_AXIS, ZERO_FORM.eval_coords, 2.0, fx.schedule),
+}
+
+
+@pytest.mark.parametrize("name", sorted(APERTURE_CONDITIONS))
+def test_aperture_conditions_combine_every_aperture(line, name):
+    verdict = APERTURE_CONDITIONS[name](line)
+    diag = verdict.diagnostics
+    assert list(diag["per_eps"]) == list(DEFAULT_GRIDS.eps_grid)
+    assert list(diag["details"]) == list(DEFAULT_GRIDS.eps_grid)
+    combined = combine_statuses(diag["per_eps"].values())
+    if name == "lower_cone" and combined == "holds" \
+            and trace_status(diag["lower_density"].verdict) == "inconclusive":
+        combined = "inconclusive"
+    assert verdict.status == combined == "holds"
+
+
+def test_lower_cone_with_every_aperture_untested_is_inconclusive(monkeypatch, line):
+    # a holding lower density is not an aperture status: it cannot turn
+    # apertures that all went untested into "holds"
+    monkeypatch.setattr(density, "eta_uniform_condition",
+                        lambda oracle, m, schedule, eps, mass_fn, norm=1.0:
+                        ("untested", {"eps": eps, "radii": []}))
+    verdict = in_lower_tangent_cone(line.oracle, np.zeros(2), 1, E1, line.schedule)
+    assert trace_status(verdict.diagnostics["lower_density"].verdict) == "holds"
+    assert set(verdict.diagnostics["per_eps"].values()) == {"untested"}
+    assert verdict.status == "inconclusive"
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +332,9 @@ def test_uniqueness_crosscheck(cubic, cubic_jet):
 
 def test_graph_residual_verification(cubic, cubic_jet):
     jet, _ = cubic_jet
-    status, _ = _residual_condition(cubic.oracle, np.zeros(2), jet.plane,
-                                    jet.eval_coords, 3.0, cubic.schedule)
-    assert status == "holds"
+    verdict = _residual_condition(cubic.oracle, np.zeros(2), jet.plane,
+                                  jet.eval_coords, 3.0, cubic.schedule)
+    assert verdict.status == "holds"
 
 
 def test_graph_residual_rejects_wrong_jet(cubic, cubic_jet):
@@ -288,9 +342,9 @@ def test_graph_residual_rejects_wrong_jet(cubic, cubic_jet):
     wrong = Jet(jet.base, jet.plane, 2, 0.0,
                 {2: HomogeneousForm(2, jet.plane,
                                     {(2,): np.array([0.0, 0.9])})})
-    status, _ = _residual_condition(cubic.oracle, np.zeros(2), jet.plane,
-                                    wrong.eval_coords, 2.0, cubic.schedule)
-    assert status == "fails"
+    verdict = _residual_condition(cubic.oracle, np.zeros(2), jet.plane,
+                                  wrong.eval_coords, 2.0, cubic.schedule)
+    assert verdict.status == "fails"
 
 
 def test_shear_invariance(cubic, cubic_jet):
