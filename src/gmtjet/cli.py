@@ -513,6 +513,8 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    if args.seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.out:   # an unwritable path fails now, not after the suites
         _write_out(args.out, lambda fp: None)
     results = {"version": __version__, "seed": args.seed, "suites": {}}

@@ -40,6 +40,8 @@ class ScaleSchedule:
     def __post_init__(self):
         if not (0 < self.r0 < math.inf) or not (0 < self.q < 1) or self.J < 8:
             raise ValueError("need finite r0 > 0, q in (0,1), J >= 8")
+        if not self.r0 * self.q ** (self.J - 1) > 0:
+            raise ValueError("smallest radius r0 q^(J-1) underflows to 0")
 
     @property
     def radii(self) -> np.ndarray:

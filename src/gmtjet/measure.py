@@ -3,13 +3,17 @@
 Three backends:
 
 * chart quadrature (midpoint tensor grids over parametric charts, with a
-  one-refinement error estimate), built on the first query and stored
-  sorted by distance to an anchor center, so the many radii a density trace
-  asks about one center are prefix slices of the grid,
-* weighted point clouds (empirical, granularity-limited),
+  one-refinement error estimate), built on the first query,
+* weighted point clouds (empirical, granularity-limited), whose point
+  masses have no margins,
 * exact lengths of unions of line segments, from one line-clipping engine
   vectorized over segment families (closed forms for balls, cylinders, cones
   and plane cones, a bisection scan for any other region).
+
+Chart grids and clouds share one anchored index: rows stored sorted by
+distance to an anchor center, so that every query reads only the prefix its
+ball can reach and the many radii a density trace asks about one center are
+prefix slices.
 
 Every oracle answers ``mass(region) -> (value, error_estimate)`` and can hand
 out a localized sample representation for the estimators.  A density trace
@@ -313,6 +317,13 @@ class Family:
 BALL = Family()
 
 
+def _queries(center, radii, family: Family):
+    """A trace's center as an array, its radii as floats and their queries."""
+    center = np.asarray(center, dtype=float)
+    radii = [float(r) for r in radii]
+    return center, radii, [family.query(center, r) for r in radii]
+
+
 class _Restricted(Family):
     """A family seen through RestrictedOracle: each query also meets `region`."""
 
@@ -374,8 +385,7 @@ class MeasureOracle:
         Backends that evaluate the family's field once per trace override
         this and return the same values, bit for bit.
         """
-        center = np.asarray(center, dtype=float)
-        return [self.mass(family.query(center, float(r))) for r in radii]
+        return [self.mass(q) for q in _queries(center, radii, family)[2]]
 
     def samples_in_ball(self, center: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """Localized empirical representation: points and weights in B(center, radius)."""
@@ -573,6 +583,9 @@ def read_cloud(path_or_fp) -> tuple[WeightedCloud, int]:
 
 
 class CloudOracle(MeasureOracle):
+    """The cloud's point masses as one `_AnchoredGrid`: a query reads only the
+    rows its bounding ball can reach and sums those the region contains."""
+
     def __init__(self, cloud: WeightedCloud, m: int):
         if cloud.points.shape[0] == 0:
             raise ValueError("empty cloud")
@@ -581,43 +594,19 @@ class CloudOracle(MeasureOracle):
         self.n = cloud.points.shape[1]
         if not 1 <= m <= self.n:
             raise ValueError(f"cloud in R^{self.n} cannot carry an m={m} measure")
+        self.grid = _AnchoredGrid(cloud.points, cloud.weights)
 
     def mass(self, region: Region) -> tuple[float, float]:
-        return _kept_sum(self.cloud.weights, region.contains_many(self.cloud.points))
+        return self.grid.sum(region)
 
     def trace(self, center, radii, family: Family = BALL):
-        """`mass` at each radius, with the family evaluated once on the points
-        within the largest bounding ball, in their original order."""
-        center = np.asarray(center, dtype=float)
-        radii = [float(r) for r in radii]
-        queries = [family.query(center, r) for r in radii]
-        rows = self._reach(center, queries)
-        if len(rows) < 2:
-            # a one-row matrix product may round differently from a longer one
-            return [self.mass(q) for q in queries]
-        w = self.cloud.weights[rows]
-        state = family.evaluate(self.cloud.points[rows], center)
-        return [_kept_sum(w, family.inside(state, r, len(rows))) for r in radii]
-
-    def _reach(self, center, queries) -> np.ndarray:
-        """Rows that may lie in some query: those within the largest bounding
-        ball about center (with a relative slack of 1e-9 for rounding in a
-        map's displacement bound), or all rows."""
-        balls = [q.bounding_ball() for q in queries]
-        if not balls or any(bb is None or np.asarray(bb[0], dtype=float).tobytes()
-                            != center.tobytes() for bb in balls):
-            return np.arange(len(self.cloud.weights))
-        reach = (1 + 1e-9) * max(float(bb[1]) for bb in balls)
-        d = self.cloud.points - center
-        return np.flatnonzero(np.einsum("ij,ij->i", d, d) <= reach ** 2)
+        return self.grid.trace(*_queries(center, radii, family), family)
 
     def samples_in_ball(self, center, radius):
-        d = self.cloud.points - np.asarray(center, dtype=float)
-        keep = np.einsum("ij,ij->i", d, d) <= radius**2
-        return self.cloud.points[keep], self.cloud.weights[keep]
+        return self.grid.in_ball(np.asarray(center, dtype=float), radius)
 
     def granularity(self):
-        return float(self.cloud.weights.max())
+        return self.grid.max_weight
 
 
 # ---------------------------------------------------------------------------
@@ -679,8 +668,8 @@ class ChartSpec:
 
 
 class _AnchoredGrid:
-    """One quadrature grid (nodes, weights, cell extents) whose rows are stored
-    in stable-sort order of distance to an anchor center.
+    """Quadrature nodes with cell extents `ell`, or point masses (`ell` None,
+    no margins), stored in stable-sort order of distance to an anchor center.
 
     `index` holds the original row of each stored row and `dist` the sorted
     distances to the anchor.  The grid is sorted about the first center it
@@ -693,16 +682,21 @@ class _AnchoredGrid:
     them; a sample query returns its rows in original order.
     """
 
-    def __init__(self, pts, w, ell):
+    def __init__(self, pts, w, ell=None):
         self.pts, self.w, self.ell = pts, w, ell
         self.index = np.arange(len(w))
         self.dist = None
         self.anchor = None         # center bytes of the sort order
         self.anchor_point = None   # and its coordinates
+        self.max_weight = float(w.max())
         # boundary cells carry fractional coverage up to half an extent
         # beyond their nodes
-        self.pad = 0.5 * float(ell.max())
-        self.max_weight = float(w.max())
+        self.pad = None if ell is None else 0.5 * float(ell.max())
+
+    def _reach(self, radius: float) -> float:
+        """Cull distance of a bounding ball: half a cell beyond it, or for point
+        masses a relative slack of 1e-9 for a map's displacement bound."""
+        return (1 + 1e-9) * radius if self.ell is None else radius + self.pad
 
     def anchor_at(self, center: np.ndarray) -> None:
         """Sort the rows about center now; a trace culls there many times."""
@@ -727,11 +721,12 @@ class _AnchoredGrid:
         take = pos[order]
         self.pts = self.pts[take]
         self.w = self.w[take]
-        self.ell = self.ell[take]
+        if self.ell is not None:
+            self.ell = self.ell[take]
         self.index, self.dist = order, dist[order]
 
     def _prefix(self, center, reach) -> int:
-        """Length of the stored prefix that holds every node within reach of
+        """Length of the stored prefix that holds every row within reach of
         center; a grid not yet sorted is sorted about center first."""
         if self.anchor is None:
             self.anchor_at(center)
@@ -743,14 +738,14 @@ class _AnchoredGrid:
         return int(np.searchsorted(self.dist, (offset + reach) * (1 + 1e-9), side="right"))
 
     def cull(self, region: Region):
-        """The rows whose cells may meet the region's bounding ball, by
-        (distance, original row); all rows in original order if unbounded."""
+        """The rows that may meet the region's bounding ball, by (distance,
+        original row); all rows in original order if unbounded."""
         bb = region.bounding_ball()
         if bb is None:
             rows = self._original_order()
         else:
             center = np.asarray(bb[0], dtype=float)
-            reach = float(bb[1]) + self.pad
+            reach = self._reach(float(bb[1]))
             end = self._prefix(center, reach)
             if center.tobytes() == self.anchor:
                 # the stored distances are the test: a plain slice
@@ -759,11 +754,57 @@ class _AnchoredGrid:
                 d = np.linalg.norm(self.pts[:end] - center, axis=1)
                 pos = np.flatnonzero(d <= reach)
                 rows = pos[np.lexsort((self.index[pos], d[pos]))]
-        return self.pts[rows], self.w[rows], self.ell[rows]
+        return self.pts[rows], self.w[rows], None if self.ell is None else self.ell[rows]
+
+    def sum(self, region: Region) -> tuple[float, float]:
+        """Mass of the region and its largest boundary-cell or kept weight."""
+        pts, w, ell = self.cull(region)
+        margin = None if ell is None else region.margin(pts)
+        if margin is None:
+            return _kept_sum(w, region.contains_many(pts))
+        return _margin_sum(w, ell, margin)
+
+    def trace(self, center, radii, queries, family: Family):
+        """`sum` of each query of a trace about center, from one prefix.
+
+        The grid is sorted about center at once.  A plain ball's cell
+        margins come from one pass of distances over the rows of the
+        largest reach, any other family's state from one `evaluate` there;
+        each radius is then its own prefix of those rows.  A radius whose
+        query culls about another center, has cell margins without being a
+        plain ball, or keeps fewer than two rows goes through `sum`.
+        """
+        self.anchor_at(center)
+        ends = []
+        for q in queries:
+            bb = q.bounding_ball()
+            same = bb is not None and np.asarray(bb[0], dtype=float).tobytes() == self.anchor
+            ends.append(int(np.searchsorted(self.dist, self._reach(float(bb[1])), side="right"))
+                        if same else 0)
+        X = self.pts[:max(ends, default=0)]
+        cells = self.ell is not None
+        state = norms = None
+        out = []
+        for r, q, end in zip(radii, queries, ends):
+            if end < 2:
+                # a one-row matrix product may round differently from a longer one
+                out.append(self.sum(q))
+            elif cells and isinstance(q, ClosedBall):
+                if norms is None:
+                    d = X - center
+                    norms = np.sqrt(np.einsum("ij,ij->i", d, d))
+                out.append(_margin_sum(self.w[:end], self.ell[:end], q.radius - norms[:end]))
+            elif cells and q.margin(X[:0]) is not None:
+                out.append(self.sum(q))
+            else:
+                if state is None:
+                    state = family.evaluate(X, center)
+                out.append(_kept_sum(self.w[:end], family.inside(state, r, end)))
+        return out
 
     def in_ball(self, center: np.ndarray, radius: float):
-        """Nodes and weights with |x - center|^2 <= radius^2, in original row
-        order."""
+        """Points and weights with |x - center|^2 <= radius^2, in original
+        row order."""
         end = self._prefix(center, abs(radius))
         x = self.pts[:end] - center
         pos = np.flatnonzero(np.einsum("ij,ij->i", x, x) <= radius ** 2)
@@ -801,13 +842,8 @@ class ChartOracle(MeasureOracle):
     The coarse (quad_resolution) and fine (2 quad_resolution) grids are built
     on the first `mass`, `samples_in_ball` or `granularity` call, so an
     oracle that is never queried costs one mapped domain corner, which gives
-    `n`.  Each grid keeps its rows sorted by distance to an anchor center
-    (see `_AnchoredGrid`): the first center it is asked about, or the center
-    of a trace.  Every query reads only the prefix of that order its reach
-    ball can touch, so a density trace's many radii around one center are
-    prefix slices.  The culled rows, and their order, are those of a stable
-    argsort of the whole grid by distance to the query's center, which keeps
-    every sum bit for bit.
+    `n`.  Each grid is an `_AnchoredGrid` of cells, whose culls keep every
+    sum bit for bit that of a stable argsort of the whole grid.
     """
 
     def __init__(self, charts: Sequence[ChartSpec], m: int):
@@ -829,64 +865,16 @@ class ChartOracle(MeasureOracle):
             self._built = tuple(grids)
         return self._built
 
-    def _grid_sum(self, grid: _AnchoredGrid, region: Region) -> tuple[float, float]:
-        pts, w, ell = grid.cull(region)
-        margin = region.margin(pts)
-        if margin is None:
-            return _kept_sum(w, region.contains_many(pts))
-        return _margin_sum(w, ell, margin)
-
     def mass(self, region: Region) -> tuple[float, float]:
-        coarse_grid, fine_grid = self._grids()
-        return _combine(self._grid_sum(fine_grid, region), self._grid_sum(coarse_grid, region))
+        coarse, fine = self._grids()
+        return _combine(fine.sum(region), coarse.sum(region))
 
     def trace(self, center, radii, family: Family = BALL):
-        """`mass` at each radius, from one anchored prefix per grid.
-
-        Each grid is sorted about center at once.  A plain ball's margins
-        come from one pass of distances over the rows of the largest reach,
-        any other family's state from one `evaluate` there; each radius is
-        then its own prefix of those rows, summed as `_grid_sum` sums it.
-        A radius whose query culls about another center, has margins
-        without being a plain ball, or keeps fewer than two rows goes
-        through `_grid_sum` itself.
-        """
-        center = np.asarray(center, dtype=float)
-        radii = [float(r) for r in radii]
-        queries = [family.query(center, r) for r in radii]
-        coarse_grid, fine_grid = self._grids()
-        fine = self._grid_trace(fine_grid, center, radii, queries, family)
-        coarse = self._grid_trace(coarse_grid, center, radii, queries, family)
-        return [_combine(f, c) for f, c in zip(fine, coarse)]
-
-    def _grid_trace(self, grid: _AnchoredGrid, center, radii, queries, family: Family):
-        grid.anchor_at(center)
-        pts, w, ell, dist = grid.pts, grid.w, grid.ell, grid.dist
-        ends = []
-        for q in queries:
-            bb = q.bounding_ball()
-            same = bb is not None and np.asarray(bb[0], dtype=float).tobytes() == grid.anchor
-            ends.append(int(np.searchsorted(dist, float(bb[1]) + grid.pad, side="right"))
-                        if same else 0)
-        X = pts[:max(ends, default=0)]
-        state = norms = None
-        out = []
-        for r, q, end in zip(radii, queries, ends):
-            if end < 2:
-                # a one-row matrix product may round differently from a longer one
-                out.append(self._grid_sum(grid, q))
-            elif isinstance(q, ClosedBall):
-                if norms is None:
-                    d = X - center
-                    norms = np.sqrt(np.einsum("ij,ij->i", d, d))
-                out.append(_margin_sum(w[:end], ell[:end], q.radius - norms[:end]))
-            elif q.margin(X[:0]) is not None:
-                out.append(self._grid_sum(grid, q))
-            else:
-                if state is None:
-                    state = family.evaluate(X, center)
-                out.append(_kept_sum(w[:end], family.inside(state, r, end)))
-        return out
+        """`mass` at each radius, from one anchored prefix per grid."""
+        query = _queries(center, radii, family)
+        coarse, fine = self._grids()
+        return [_combine(f, c) for f, c in zip(fine.trace(*query, family),
+                                               coarse.trace(*query, family))]
 
     def samples_in_ball(self, center, radius):
         return self._grids()[1].in_ball(np.asarray(center, dtype=float), radius)

@@ -207,9 +207,11 @@ ANALYZE_CLOUD = ["analyze", "--input", CLOUD, "--point", "0,0", "--order", "1"]
     (["fixture", "emit", "circle", "--param", "R=inf", "--out", CLOUD], None),
     (["fixture", "emit", "dyadic_annuli", "--param", "depth=inf", "--out", CLOUD], None),
     (["fixture", "emit", "comb", "--param", "n_teeth=inf", "--out", CLOUD], None),
+    (["analyze", "--input", "fixture:line", "--point", "0,0", "--order", "1",
+      "--schedule", "0.5,1e-200,24"], None),
 ], ids=["order_0", "alpha_2", "scalar_coeffs", "header_only_cloud", "m_above_n_cloud",
         "nan_r0", "inf_r0", "nan_radius", "nan_coeff", "inf_radius", "inf_depth",
-        "inf_teeth"])
+        "inf_teeth", "underflowing_radius"])
 def test_bad_input_is_usage_error(tmp_path, monkeypatch, capsys, argv, cloud):
     monkeypatch.chdir(tmp_path)
     if cloud is not None:
@@ -364,6 +366,17 @@ def test_unwritable_out_is_rejected_before_any_work(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(cli, "run_analysis",
                         lambda *args: ran.append("analysis") or ({"verdicts": {}}, 0))
     assert main(argv + ["--out", str(tmp_path / "missing" / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert ran == []
+
+
+@pytest.mark.parametrize("suite", ["transfer", "all"])
+def test_negative_seed_is_rejected_before_any_work(monkeypatch, capsys, suite):
+    ran = []
+    monkeypatch.setattr(cli, "SUITES", {name: lambda seed, name=name: ran.append(name) or []
+                                        for name in cli.SUITES})
+    assert main(["verify", "--suite", suite, "--seed", "-1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert ran == []

@@ -127,6 +127,7 @@ def test_schedule_radii_decrease():
 @pytest.mark.parametrize("kwargs", [
     dict(r0=0.0), dict(q=1.0), dict(q=0.0), dict(J=7),
     dict(r0=float("nan")), dict(r0=float("inf")),
+    dict(q=1e-200),   # the smallest radius r0 q^(J-1) underflows to 0
 ])
 def test_schedule_validation(kwargs):
     with pytest.raises(ValueError):

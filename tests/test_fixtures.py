@@ -16,6 +16,13 @@ def aag():
     return make_fixture("a_alpha_gamma", gamma=2.0, alpha=0.75)
 
 
+@pytest.fixture(scope="module")
+def torus():
+    # chart answers do not depend on query history, so the tests share one
+    # build of the default grid
+    return make_fixture("torus")
+
+
 # ---------------------------------------------------------------------------
 # catalog plumbing
 
@@ -102,8 +109,8 @@ def test_sphere_total_mass():
     assert abs(val - 4 * math.pi) <= 1e-2
 
 
-def test_torus_total_mass():
-    fx = make_fixture("torus")
+def test_torus_total_mass(torus):
+    fx = torus
     R, r = fx.params["R"], fx.params["r"]
     val, err = fx.oracle.mass(FullSpace())
     assert abs(val - 4 * math.pi ** 2 * R * r) <= max(3 * err, 1e-2)
@@ -284,8 +291,8 @@ def test_sphere_density_at_pole():
     assert up.verdict == "limit_positive" and abs(up.estimate - 1.0) <= 1e-2
 
 
-def test_torus_density_at_outer_equator():
-    fx = make_fixture("torus")
+def test_torus_density_at_outer_equator(torus):
+    fx = torus
     a = fx.marked_points[0]
     sched = fx.schedule.clip_for(fx.oracle)
     lo = lower_density(fx.oracle, a, 2, sched)

@@ -24,6 +24,8 @@ from gmtjet.measure import (
     ChartSpec,
     CloudOracle,
     IntervalOracle,
+    MappedOracle,
+    MeasureOracle,
     SegmentPiece,
     WeightedCloud,
     clip_segments,
@@ -289,8 +291,11 @@ class FullGridChart:
 
 
 def _assert_same_answers(oracle, reference, regions, samples):
-    for region in regions:
-        assert oracle.mass(region) == reference.mass(region)
+    """Equal masses of the regions, and equal samples of the balls after each
+    region, or once when there is no region."""
+    for region in regions or [None]:
+        if region is not None:
+            assert oracle.mass(region) == reference.mass(region)
         for c, r in samples:
             got, want = oracle.samples_in_ball(c, r), reference.samples_in_ball(c, r)
             assert all(np.array_equal(g, w_) for g, w_ in zip(got, want))
@@ -467,6 +472,101 @@ def test_cloud_complement_additivity():
     inside, _ = oracle.mass(ball)
     outside, _ = oracle.mass(Complement(ball))
     assert abs(inside + outside - oracle.mass(FullSpace())[0]) <= 1e-10
+
+
+class FullScanCloud(MeasureOracle):
+    """Point masses that test every point on every query: the reference the
+    anchored grid of CloudOracle must reproduce, bit for bit when every sum
+    of weights is exact."""
+
+    def __init__(self, cloud, m):
+        self.cloud, self.m, self.n = cloud, m, cloud.points.shape[1]
+
+    def mass(self, region):
+        kept = self.cloud.weights[region.contains_many(self.cloud.points)]
+        return float(kept.sum()), (float(kept.max()) if len(kept) else 0.0)
+
+    def samples_in_ball(self, center, radius):
+        d = self.cloud.points - np.asarray(center, dtype=float)
+        keep = np.einsum("ij,ij->i", d, d) <= radius ** 2
+        return self.cloud.points[keep], self.cloud.weights[keep]
+
+    def granularity(self):
+        return float(self.cloud.weights.max())
+
+
+def dyadic_lattice_cloud():
+    """The lattice (Z/4)^3 in [-1.5, 1.5]^3 in shuffled order, with weights in
+    {1, ..., 8} / 64: every sum of weights is exact in any order, and many
+    points lie exactly on spheres about lattice centers."""
+    rng = np.random.default_rng(7)
+    axis = np.arange(-6, 7) / 4
+    pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    return WeightedCloud(pts[rng.permutation(len(pts))], rng.integers(1, 9, len(pts)) / 64)
+
+
+def _shear(X):
+    X = np.atleast_2d(X).copy()
+    X[:, 2] += 0.5 * X[:, 0] ** 2
+    return X
+
+
+def _shear_bound(center, radius):
+    """|_shear(x) - x| over the preimage of B(center, radius), whose first
+    coordinates lie within radius of center's."""
+    return 0.5 * (abs(float(center[0])) + radius) ** 2
+
+
+def test_cloud_grid_matches_full_scan():
+    cloud = dyadic_lattice_cloud()
+    oracle, reference = CloudOracle(cloud, m=2), FullScanCloud(cloud, m=2)
+    anchor, side, loose = np.zeros(3), np.array([0.5, 0.25, -0.75]), np.array([0.1, 0.2, 0.3])
+    # lattice points lie exactly at radii 0.25 to 1.25 about lattice centers
+    radii = [1.25, 1.0, 0.75, 0.5, 0.25, 0.1]
+    regions = ([ClosedBall(anchor, 1.0)]                                  # anchor at the origin
+               + [ball(c, r) for c in (anchor, side, loose, anchor) for r in radii
+                  for ball in (ClosedBall, OpenBall)]
+               + [ClosedBall(anchor, 3.0), FullSpace(), Complement(ClosedBall(side, 0.75)),
+                  Complement(OpenBall(anchor, 1.0))])
+    balls = [(c, r) for c in (anchor, side, loose) for r in radii] + [(side, 3.0)]
+    # the closed ball keeps the points at its radius, the open one drops them
+    assert oracle.mass(ClosedBall(side, 0.75))[0] > oracle.mass(OpenBall(side, 0.75))[0]
+    assert oracle.mass(ClosedBall(anchor, 1.0))[0] > oracle.mass(OpenBall(anchor, 1.0))[0]
+    _assert_same_answers(oracle, reference, regions, balls)
+    assert oracle.granularity() == reference.granularity()
+    cone = Cone(anchor, np.array([0.0, 0.0, 1.0]), 0.5)
+    views = [(oracle, reference),
+             (oracle.restrict(cone), reference.restrict(cone)),
+             (MappedOracle(oracle, _shear, _shear_bound),
+              MappedOracle(reference, _shear, _shear_bound))]
+    for view, ref in views:
+        _assert_same_answers(view, ref, regions, balls)
+        for c in (anchor, side, loose):
+            assert view.trace(c, radii) == ref.trace(c, radii)
+    # fresh grids whose first query is off the origin, unbounded or a sample
+    for first in ([ClosedBall(side, 0.5)], [FullSpace()]):
+        fresh = CloudOracle(cloud, m=2)
+        _assert_same_answers(fresh, reference, first + regions, balls)
+    fresh = CloudOracle(cloud, m=2)
+    _assert_same_answers(fresh, reference, [], balls[::-1])
+    _assert_same_answers(fresh, reference, regions, balls)
+
+
+def test_cloud_small_ball_tests_few_points(monkeypatch):
+    tested = []
+    contains_many = ClosedBall.contains_many
+
+    def counted(self, X):
+        tested.append(len(X))
+        return contains_many(self, X)
+
+    monkeypatch.setattr(ClosedBall, "contains_many", counted)
+    cloud = dyadic_lattice_cloud()
+    oracle = CloudOracle(cloud, m=2)
+    for c in (np.zeros(3), np.array([0.5, 0.25, -0.75])):
+        assert oracle.mass(ClosedBall(c, 0.3))[0] > 0
+    # a lattice point and its six neighbours at 0.25, about either center
+    assert tested == [7, 7]
 
 
 @settings(max_examples=100, deadline=None)
